@@ -46,9 +46,9 @@ metrics-compare:  ## metered quick run diffed against the committed baseline
 	PYTHONPATH=src $(PYTHON) -m repro compare BENCH_metrics.json \
 	    /tmp/metrics_quick.json --metric-tolerance wall=0.5
 
-lint:  ## style check of the engine core + observability/metrics layers
-	$(PYTHON) -m ruff check src/repro/core src/repro/observability \
-	    src/repro/metrics
+lint:  ## style check of the engine core, queueing, observability, metrics
+	$(PYTHON) -m ruff check src/repro/core src/repro/queueing \
+	    src/repro/observability src/repro/metrics
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f >/dev/null || exit 1; done

@@ -16,8 +16,21 @@ records; the module imports nothing from ``repro.core`` or
 
 from __future__ import annotations
 
+import contextlib
 import json
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+import os
+from itertools import islice
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 MICRO = 1e6  # trace_event timestamps are microseconds
 
@@ -28,6 +41,140 @@ WaterfallRow = Tuple[str, float]
 # ----------------------------------------------------------------------
 # Chrome trace_event JSON
 # ----------------------------------------------------------------------
+#: Events per C-encoder call in ``write_chrome_trace``: enough to amortise
+#: the call, few enough that one slice's dicts and text stay a few MB
+#: however long the trace is.
+_CHUNK_EVENTS = 1024
+
+
+def _iter_chrome_trace_events(
+    spans: Iterable[Any],
+    cascades: Iterable[Any] = (),
+    shard_labels: Optional[Sequence[str]] = None,
+    flows: Iterable[Mapping[str, Any]] = (),
+) -> Iterator[Dict[str, Any]]:
+    """Yield the ``trace_event`` dicts of ``chrome_trace_events`` lazily.
+
+    Order: shard metadata, cascades, spans (each lane's ``thread_name``
+    just before its first span), then flow ``s``/``f`` pairs.
+    """
+    lanes: Dict[Tuple[int, str], int] = {}
+    pid_next_tid: Dict[int, int] = {}
+
+    def new_pid(pid: int) -> List[Dict[str, Any]]:
+        """Metadata naming ``pid`` and its cascade lane, once per pid."""
+        if pid in pid_next_tid:
+            return []
+        pid_next_tid[pid] = 1
+        if shard_labels is not None and 0 <= pid - 1 < len(shard_labels):
+            label = f"shard {pid - 1}: {shard_labels[pid - 1]}"
+        else:
+            label = "repro simulation"
+        return [
+            {
+                "name": "process_name",
+                "ph": "M",
+                "pid": pid,
+                "tid": 0,
+                "args": {"name": label},
+            },
+            {
+                "name": "thread_name",
+                "ph": "M",
+                "pid": pid,
+                "tid": 0,
+                "args": {"name": "cascades"},
+            },
+        ]
+
+    if shard_labels is not None:
+        for i in range(len(shard_labels)):  # every shard gets its lane,
+            yield from new_pid(i + 1)       # even if its spans were sparse
+    else:
+        yield from new_pid(1)
+
+    for c in cascades:
+        end = c.end if c.end == c.end else c.start  # NaN-safe
+        pid = getattr(c, "shard", 0) + 1
+        yield from new_pid(pid)
+        yield {
+            "name": c.operation or "cascade",
+            "cat": "cascade",
+            "ph": "X",
+            "ts": c.start * MICRO,
+            "dur": max(end - c.start, 0.0) * MICRO,
+            "pid": pid,
+            "tid": 0,
+            "args": {
+                "cascade": c.cascade_id,
+                "application": c.application,
+                "client_dc": c.client_dc,
+                "failed": bool(c.failed),
+            },
+        }
+
+    for s in spans:
+        pid = getattr(s, "shard", 0) + 1
+        key = (pid, s.agent)
+        tid = lanes.get(key)
+        if tid is None:
+            yield from new_pid(pid)
+            tid = lanes[key] = pid_next_tid[pid]
+            pid_next_tid[pid] += 1
+            yield {
+                "name": "thread_name",
+                "ph": "M",
+                "pid": pid,
+                "tid": tid,
+                "args": {"name": s.agent},
+            }
+        yield {
+            "name": str(s.tag) if s.tag is not None else s.agent,
+            "cat": s.agent_type,
+            "ph": "X",
+            "ts": s.start * MICRO,
+            "dur": max(s.end - s.start, 0.0) * MICRO,
+            "pid": pid,
+            "tid": tid,
+            "args": {
+                "cascade": s.cascade_id,
+                "agent": s.agent,
+                "wait_s": s.wait,
+                "demand": s.demand,
+            },
+        }
+
+    for i, hop in enumerate(flows):
+        src_pid = int(hop.get("src_shard", 0)) + 1
+        dst_pid = int(hop.get("dst_shard", 0)) + 1
+        yield from new_pid(src_pid)
+        yield from new_pid(dst_pid)
+        name = f"remote {hop['src']}->{hop['dst']}"
+        args = {"cascade": hop["cascade"], "src": hop["src"],
+                "dst": hop["dst"]}
+        yield {
+            "name": name,
+            "cat": "remote",
+            "ph": "s",
+            "id": i + 1,
+            "ts": hop["send"] * MICRO,
+            "pid": src_pid,
+            "tid": 0,
+            "args": args,
+        }
+        yield {
+            "name": name,
+            "cat": "remote",
+            "ph": "f",
+            "bp": "e",
+            "id": i + 1,
+            "ts": hop["arrival"] * MICRO,
+            "pid": dst_pid,
+            "tid": 0,
+            "args": args,
+        }
+
+
 def chrome_trace_events(
     spans: Iterable[Any],
     cascades: Iterable[Any] = (),
@@ -48,136 +195,8 @@ def chrome_trace_events(
     sending shard at send time, ``ph:"f"`` on the receiving shard at
     arrival — so a cascade crossing a cut draws one connected arrow.
     """
-    events: List[Dict[str, Any]] = []
-    lanes: Dict[Tuple[int, str], int] = {}
-    pid_next_tid: Dict[int, int] = {}
-
-    def ensure_pid(pid: int) -> None:
-        if pid in pid_next_tid:
-            return
-        pid_next_tid[pid] = 1
-        if shard_labels is not None and 0 <= pid - 1 < len(shard_labels):
-            label = f"shard {pid - 1}: {shard_labels[pid - 1]}"
-        else:
-            label = "repro simulation"
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": label},
-            }
-        )
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": "cascades"},
-            }
-        )
-
-    def lane(pid: int, agent: str) -> int:
-        key = (pid, agent)
-        if key not in lanes:
-            ensure_pid(pid)
-            lanes[key] = pid_next_tid[pid]
-            pid_next_tid[pid] += 1
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": lanes[key],
-                    "args": {"name": agent},
-                }
-            )
-        return lanes[key]
-
-    if shard_labels is not None:
-        for i in range(len(shard_labels)):  # every shard gets its lane,
-            ensure_pid(i + 1)               # even if its spans were sparse
-    else:
-        ensure_pid(1)
-
-    for c in cascades:
-        end = c.end if c.end == c.end else c.start  # NaN-safe
-        pid = getattr(c, "shard", 0) + 1
-        ensure_pid(pid)
-        events.append(
-            {
-                "name": c.operation or "cascade",
-                "cat": "cascade",
-                "ph": "X",
-                "ts": c.start * MICRO,
-                "dur": max(end - c.start, 0.0) * MICRO,
-                "pid": pid,
-                "tid": 0,
-                "args": {
-                    "cascade": c.cascade_id,
-                    "application": c.application,
-                    "client_dc": c.client_dc,
-                    "failed": bool(c.failed),
-                },
-            }
-        )
-
-    for s in spans:
-        pid = getattr(s, "shard", 0) + 1
-        events.append(
-            {
-                "name": str(s.tag) if s.tag is not None else s.agent,
-                "cat": s.agent_type,
-                "ph": "X",
-                "ts": s.start * MICRO,
-                "dur": max(s.end - s.start, 0.0) * MICRO,
-                "pid": pid,
-                "tid": lane(pid, s.agent),
-                "args": {
-                    "cascade": s.cascade_id,
-                    "agent": s.agent,
-                    "wait_s": s.wait,
-                    "demand": s.demand,
-                },
-            }
-        )
-
-    for i, hop in enumerate(flows):
-        src_pid = int(hop.get("src_shard", 0)) + 1
-        dst_pid = int(hop.get("dst_shard", 0)) + 1
-        ensure_pid(src_pid)
-        ensure_pid(dst_pid)
-        name = f"remote {hop['src']}->{hop['dst']}"
-        args = {"cascade": hop["cascade"], "src": hop["src"],
-                "dst": hop["dst"]}
-        events.append(
-            {
-                "name": name,
-                "cat": "remote",
-                "ph": "s",
-                "id": i + 1,
-                "ts": hop["send"] * MICRO,
-                "pid": src_pid,
-                "tid": 0,
-                "args": args,
-            }
-        )
-        events.append(
-            {
-                "name": name,
-                "cat": "remote",
-                "ph": "f",
-                "bp": "e",
-                "id": i + 1,
-                "ts": hop["arrival"] * MICRO,
-                "pid": dst_pid,
-                "tid": 0,
-                "args": args,
-            }
-        )
-    return events
+    return list(_iter_chrome_trace_events(
+        spans, cascades, shard_labels=shard_labels, flows=flows))
 
 
 def write_chrome_trace(
@@ -187,13 +206,39 @@ def write_chrome_trace(
     shard_labels: Optional[Sequence[str]] = None,
     flows: Iterable[Mapping[str, Any]] = (),
 ) -> int:
-    """Write a ``chrome://tracing``-loadable JSON file; returns #events."""
-    events = chrome_trace_events(spans, cascades, shard_labels=shard_labels,
-                                 flows=flows)
-    doc = {"traceEvents": events, "displayTimeUnit": "ms"}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    return len(events)
+    """Write a ``chrome://tracing``-loadable JSON file; returns #events.
+
+    The file holds exactly the bytes of ``json.dumps({"traceEvents":
+    chrome_trace_events(...), "displayTimeUnit": "ms"})``, but the
+    events are streamed: ``_CHUNK_EVENTS`` at a time are built, encoded
+    by one C-encoder call and written, so memory stays bounded by one
+    slice rather than growing with the trace.  The text goes to
+    ``<path>.tmp`` and is renamed over ``path`` only once complete, so a
+    failed export leaves any previous trace at ``path`` untouched.
+    """
+    events = _iter_chrome_trace_events(spans, cascades,
+                                       shard_labels=shard_labels, flows=flows)
+    encode = json.JSONEncoder().encode
+    tmp = f"{os.fspath(path)}.tmp"
+    n = 0
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write('{"traceEvents": [')
+            while True:
+                chunk = list(islice(events, _CHUNK_EVENTS))
+                if not chunk:
+                    break
+                if n:
+                    fh.write(", ")
+                fh.write(encode(chunk)[1:-1])
+                n += len(chunk)
+            fh.write('], "displayTimeUnit": "ms"}')
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    return n
 
 
 # ----------------------------------------------------------------------

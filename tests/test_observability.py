@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -15,7 +16,10 @@ from repro.observability import (
     chrome_trace_events,
     format_waterfall,
     make_recorder,
+    write_chrome_trace,
 )
+from repro.observability import exporters
+from repro.observability.trace import MergedTrace, Span
 from repro.queueing import FCFSQueue
 from repro.software.application import Application
 from repro.software.message import CLIENT, MessageSpec
@@ -252,6 +256,99 @@ def test_chrome_trace_without_recorder_writes_empty_doc(tmp_path):
     assert doc["displayTimeUnit"]
 
 
+def _dumped_trace(spans, cascades=(), shard_labels=None, flows=()):
+    """The whole-document encoding the streamed export must reproduce."""
+    events = chrome_trace_events(spans, cascades, shard_labels=shard_labels,
+                                 flows=flows)
+    doc = {"traceEvents": events, "displayTimeUnit": "ms"}
+    return json.dumps(doc).encode("utf-8")
+
+
+def _synthetic_spans(n, agents=16):
+    return [
+        Span(cascade_id=i // 8, span_id=i + 1, agent=f"agent{i % agents}",
+             agent_type="cpu", tag="OPEN" if i % 3 == 0 else None,
+             demand=1.5e6 * (i % 7), enqueue=0.01 * i,
+             start=0.01 * i + 0.001, end=0.01 * i + 0.0075)
+        for i in range(n)
+    ]
+
+
+def test_chrome_trace_file_matches_whole_document_encoding(tmp_path):
+    path = tmp_path / "trace.json"
+
+    traced = simulate(portal_scenario(), until=120.0, trace="full")
+    n = traced.write_chrome_trace(path)
+    expected = _dumped_trace(traced.spans(), traced.cascades())
+    assert path.read_bytes() == expected
+    assert n == len(json.loads(expected)["traceEvents"])
+
+    merged = _two_shard_trace()
+    write_chrome_trace(path, merged.spans(), shard_labels=merged.shard_labels,
+                       flows=merged.flows)
+    assert path.read_bytes() == _dumped_trace(
+        merged.spans(), shard_labels=merged.shard_labels, flows=merged.flows)
+
+    untraced = simulate(portal_scenario(), until=30.0)
+    untraced.write_chrome_trace(path)
+    assert path.read_bytes() == _dumped_trace([])
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_chrome_trace_file_at_chunk_boundaries(tmp_path, delta):
+    # one process_name + one cascade-lane name + one name per agent lane
+    agents = 16
+    n_events = exporters._CHUNK_EVENTS + delta
+    spans = _synthetic_spans(n_events - 2 - agents, agents=agents)
+    path = tmp_path / "trace.json"
+    assert write_chrome_trace(path, spans) == n_events
+    assert path.read_bytes() == _dumped_trace(spans)
+
+
+def test_chrome_trace_event_order_across_shards():
+    merged = _two_shard_trace()
+    events = chrome_trace_events(merged.spans(),
+                                 shard_labels=merged.shard_labels,
+                                 flows=merged.flows)
+    assert [(e["ph"], e["pid"], e["tid"], e["name"]) for e in events] == [
+        ("M", 1, 0, "process_name"), ("M", 1, 0, "thread_name"),
+        ("M", 2, 0, "process_name"), ("M", 2, 0, "thread_name"),
+        ("M", 1, 1, "thread_name"), ("X", 1, 1, "a"),
+        ("M", 2, 1, "thread_name"), ("X", 2, 1, "b"),
+        ("s", 1, 0, "remote DNA->R00"), ("f", 2, 0, "remote DNA->R00"),
+    ]
+
+
+def test_chrome_trace_failed_export_keeps_previous_file(tmp_path):
+    path = tmp_path / "trace.json"
+    path.write_text("previous trace")
+
+    def failing_spans():
+        yield from _synthetic_spans(2 * exporters._CHUNK_EVENTS)
+        raise RuntimeError("span source failed")
+
+    with pytest.raises(RuntimeError, match="span source failed"):
+        write_chrome_trace(path, failing_spans())
+    assert path.read_text() == "previous trace"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.json"]
+
+
+def test_chrome_trace_export_memory_does_not_grow_with_trace(tmp_path):
+    def export_peak(n_spans):
+        spans = _synthetic_spans(n_spans)
+        tracemalloc.start()
+        try:
+            write_chrome_trace(tmp_path / "trace.json", spans)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # two slices against sixteen: a list-building export peaks ~8x higher
+    chunk = exporters._CHUNK_EVENTS
+    small, large = export_peak(2 * chunk), export_peak(16 * chunk)
+    assert large < 1.5 * small, (small, large)
+
+
 def test_waterfall_without_spans_renders_placeholder():
     text = format_waterfall("EMPTY", [], latency=0.0)
     assert "EMPTY" in text
@@ -415,7 +512,7 @@ def test_hash_sampling_is_order_independent():
 
 
 def test_canonical_spans_erase_id_spaces():
-    from repro.observability.trace import Span, canonical_spans
+    from repro.observability.trace import canonical_spans
 
     def spans(base, shard):
         root = Span(cascade_id=9, span_id=base + 1, agent="a",
@@ -447,9 +544,8 @@ def test_export_and_adopt_context_roundtrip():
     assert origin.export_context() is None
 
 
-def test_merged_trace_renumbers_and_sorts_flows():
-    from repro.observability.trace import MergedTrace, Span
-
+def _two_shard_trace():
+    """Two one-span shards joined by one cross-shard hop."""
     s0 = Span(cascade_id=5, span_id=(1 << 40) + 1, agent="a", agent_type="q",
               tag=None, demand=0.0, enqueue=0.0, start=0.0, end=1.0,
               parent_id=None, shard=0)
@@ -458,8 +554,13 @@ def test_merged_trace_renumbers_and_sorts_flows():
               parent_id=(1 << 40) + 1, shard=1)
     hop = {"cascade": 5, "src": "DNA", "dst": "R00", "send": 1.0,
            "arrival": 1.08, "src_shard": 0, "dst_shard": 1}
-    merged = MergedTrace([[s0], [s1]], [[], []],
-                         shard_labels=["DNA", "R00"], hops=[hop])
+    return MergedTrace([[s0], [s1]], [[], []],
+                       shard_labels=["DNA", "R00"], hops=[hop])
+
+
+def test_merged_trace_renumbers_and_sorts_flows():
+    merged = _two_shard_trace()
+    hop = merged.flows[0]
     spans = merged.spans()
     assert [s.span_id for s in spans] == [1, 2]
     assert spans[1].parent_id == 1  # cross-shard parent link preserved
