@@ -283,7 +283,7 @@ def test_chrome_trace_file_matches_whole_document_encoding(tmp_path):
     assert path.read_bytes() == expected
     assert n == len(json.loads(expected)["traceEvents"])
 
-    merged = _two_shard_trace()
+    merged, _ = _two_shard_trace()
     write_chrome_trace(path, merged.spans(), shard_labels=merged.shard_labels,
                        flows=merged.flows)
     assert path.read_bytes() == _dumped_trace(
@@ -303,20 +303,6 @@ def test_chrome_trace_file_at_chunk_boundaries(tmp_path, delta):
     path = tmp_path / "trace.json"
     assert write_chrome_trace(path, spans) == n_events
     assert path.read_bytes() == _dumped_trace(spans)
-
-
-def test_chrome_trace_event_order_across_shards():
-    merged = _two_shard_trace()
-    events = chrome_trace_events(merged.spans(),
-                                 shard_labels=merged.shard_labels,
-                                 flows=merged.flows)
-    assert [(e["ph"], e["pid"], e["tid"], e["name"]) for e in events] == [
-        ("M", 1, 0, "process_name"), ("M", 1, 0, "thread_name"),
-        ("M", 2, 0, "process_name"), ("M", 2, 0, "thread_name"),
-        ("M", 1, 1, "thread_name"), ("X", 1, 1, "a"),
-        ("M", 2, 1, "thread_name"), ("X", 2, 1, "b"),
-        ("s", 1, 0, "remote DNA->R00"), ("f", 2, 0, "remote DNA->R00"),
-    ]
 
 
 def test_chrome_trace_failed_export_keeps_previous_file(tmp_path):
@@ -545,7 +531,7 @@ def test_export_and_adopt_context_roundtrip():
 
 
 def _two_shard_trace():
-    """Two one-span shards joined by one cross-shard hop."""
+    """Two one-span shards joined by one cross-shard hop, and that hop."""
     s0 = Span(cascade_id=5, span_id=(1 << 40) + 1, agent="a", agent_type="q",
               tag=None, demand=0.0, enqueue=0.0, start=0.0, end=1.0,
               parent_id=None, shard=0)
@@ -554,13 +540,13 @@ def _two_shard_trace():
               parent_id=(1 << 40) + 1, shard=1)
     hop = {"cascade": 5, "src": "DNA", "dst": "R00", "send": 1.0,
            "arrival": 1.08, "src_shard": 0, "dst_shard": 1}
-    return MergedTrace([[s0], [s1]], [[], []],
-                       shard_labels=["DNA", "R00"], hops=[hop])
+    merged = MergedTrace([[s0], [s1]], [[], []],
+                         shard_labels=["DNA", "R00"], hops=[hop])
+    return merged, hop
 
 
 def test_merged_trace_renumbers_and_sorts_flows():
-    merged = _two_shard_trace()
-    hop = merged.flows[0]
+    merged, hop = _two_shard_trace()
     spans = merged.spans()
     assert [s.span_id for s in spans] == [1, 2]
     assert spans[1].parent_id == 1  # cross-shard parent link preserved
@@ -570,10 +556,13 @@ def test_merged_trace_renumbers_and_sorts_flows():
 
     events = chrome_trace_events(spans, [], shard_labels=merged.shard_labels,
                                  flows=merged.flows)
-    pids = {e["pid"] for e in events if e["ph"] == "X"}
-    assert pids == {1, 2}
-    flow_phs = [e["ph"] for e in events if e.get("cat") == "remote"]
-    assert flow_phs == ["s", "f"]
+    assert [(e["ph"], e["pid"], e["tid"], e["name"]) for e in events] == [
+        ("M", 1, 0, "process_name"), ("M", 1, 0, "thread_name"),
+        ("M", 2, 0, "process_name"), ("M", 2, 0, "thread_name"),
+        ("M", 1, 1, "thread_name"), ("X", 1, 1, "a"),
+        ("M", 2, 1, "thread_name"), ("X", 2, 1, "b"),
+        ("s", 1, 0, "remote DNA->R00"), ("f", 2, 0, "remote DNA->R00"),
+    ]
 
 
 def test_direct_submit_with_recorder_context():
