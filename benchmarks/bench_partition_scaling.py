@@ -1,66 +1,60 @@
-"""Section 9.3.1: partitioned-simulation overhead and lookahead economics.
+"""Section 9.3.1: sharded-window overhead and lookahead economics.
 
-Measures the synchronous-window protocol's coordination overhead as the
-lookahead (minimum WAN latency between partitions) shrinks, and runs
-the multiprocess transport end to end.  With the thesis's 50-350 ms WAN
-latencies and a 10 ms tick, windows span 5-35 ticks — the protocol's
-sweet spot.
+Runs the sharded fleet scenario on two worker processes while the
+synchronization window shrinks below the plan's lookahead (the smallest
+cross-shard WAN latency).  Every window ends in an envelope exchange
+and a barrier, so the window count — and with it the coordination
+overhead — grows as the window shrinks, while the simulated results
+stay the same.  The lookahead itself is the largest window the
+conservative protocol allows.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.core import Simulator, Job
-from repro.parallel.partition import Partition, PartitionedSimulation
-from repro.queueing import FCFSQueue
+from repro.api import ParallelOptions, simulate
+from repro.verification.parity import sharded_fleet_scenario
 
-HORIZON = 30.0
-
-
-def _build(n_partitions: int):
-    parts = []
-    for i in range(n_partitions):
-        sim = Simulator(dt=0.01)
-        queue = sim.add_agent(FCFSQueue(f"p{i}.q", rate=100.0))
-
-        def handler(env, now, q=queue):
-            q.submit(Job(env.payload["demand"], not_before=now), now)
-
-        part = Partition(f"p{i}", sim, handler)
-        parts.append(part)
-
-        # steady local work + one cross-partition transfer per second
-        def emit(now, p=part, idx=i):
-            p.send(f"p{(idx + 1) % n_partitions}", {"demand": 1.0},
-                   latency_s=0.35)
-            if now + 1.0 < HORIZON:
-                p.sim.schedule(now + 1.0, emit)
-
-        sim.schedule(float(i) / n_partitions, emit)
-    return parts
+HORIZON = 10.0
+REGIONS = 2
+FRACTIONS = (1.0, 0.5, 0.25, 0.125)
 
 
-def _run(lookahead: float, n_partitions: int = 4) -> tuple:
-    parts = _build(n_partitions)
-    coord = PartitionedSimulation(parts, min_latency_s=lookahead)
+def _run(window=None):
     t0 = time.perf_counter()
-    coord.run(HORIZON)
-    return time.perf_counter() - t0, coord.windows_run
+    result = simulate(sharded_fleet_scenario(REGIONS), until=HORIZON,
+                      parallel=ParallelOptions(workers=2, window=window))
+    return time.perf_counter() - t0, result
+
+
+def _counts(result):
+    """Per-agent arrival and completion counts: window-independent."""
+    return {name: (t.arrivals, t.completions)
+            for name, t in result.telemetry().items()}
 
 
 def test_partition_scaling(benchmark, report):
-    benchmark.pedantic(_run, args=(0.35,), rounds=1, iterations=1)
+    _, base = benchmark.pedantic(_run, rounds=1, iterations=1)
+    lookahead = base.parallel.lookahead
     rows = []
-    for lookahead in (0.35, 0.10, 0.05, 0.02):
-        wall, windows = _run(lookahead)
-        rows.append([f"{1000 * lookahead:.0f} ms", windows,
+    windows = []
+    for frac in FRACTIONS:
+        wall, result = _run(lookahead * frac)
+        rep = result.parallel
+        assert _counts(result) == _counts(base)
+        windows.append(rep.windows_run)
+        rows.append([f"{frac:g}", f"{1000 * rep.window:.1f} ms",
+                     rep.windows_run, rep.envelopes,
                      f"{wall * 1000:.0f} ms",
-                     f"{wall / windows * 1e3:.2f} ms"])
+                     f"{wall / rep.windows_run * 1e3:.2f} ms"])
+    assert windows == sorted(windows)
     report(
-        "Section 9.3.1 - synchronous-window overhead vs lookahead "
-        "(4 partitions, 30 s horizon): the WAN latency IS the lookahead, "
-        "so fewer, larger windows amortize the exchange barrier",
-        ["lookahead", "windows", "total wall", "wall per window"],
+        "Section 9.3.1 - sharded-window overhead vs window size "
+        f"(2 workers, {REGIONS}-region fleet, {HORIZON:.0f} s horizon, "
+        f"lookahead {1000 * lookahead:.0f} ms): fewer, larger windows "
+        "amortize the exchange barrier",
+        ["window / lookahead", "window", "windows", "envelopes",
+         "total wall", "wall per window"],
         rows,
     )

@@ -1,119 +1,107 @@
-"""Distributed (partitioned) simulation demo (thesis section 9.3.1).
+"""Distributed (sharded) simulation demo (thesis section 9.3.1).
 
-Two continents run as independent simulation partitions synchronized by
-conservative windows: the 150 ms WAN latency between them is the
-*lookahead*, so each partition simulates 150 ms batches with no
-coordination at all, exchanging transfer envelopes at window boundaries.
-Swapping the in-process coordinator for the multiprocess transport (also
-demonstrated) distributes the partitions across OS processes — and,
-with sockets instead of queues, across machines.
+The consolidation fleet — a master data center plus regional DCs with
+cross-DC control cascades — runs twice: once in a single process and
+once cut into two shards, each in its own OS process, under
+``simulate(parallel=ParallelOptions(workers=2))``.  The shards advance
+in conservative windows bounded by the smallest cross-shard WAN latency
+(the *lookahead*): within a window no message sent by one shard can
+reach another, so the shards only exchange envelopes at window
+boundaries.
 
-This demo drives bare engines below the scenario level (partitions wrap
-whole simulators), so it uses :class:`repro.Simulator` directly rather
-than the :func:`repro.simulate` facade; the per-agent telemetry protocol
-(``Agent.telemetry()``) works the same either way.
+The demo prints the backend's window and envelope counts and then
+checks that the sharded run is equivalent to the single-process one:
+identical operation records, traced cascades (the control cascades
+cross the cut) and sampled series, and per-agent telemetry equal up to
+float rounding.
 
 Run:  python examples/distributed_simulation.py
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import time
 
-from repro.core import Job, Simulator
+from repro import Collect, simulate
+from repro.api import ParallelOptions
 from repro.metrics.report import format_table
-from repro.parallel.partition import Partition, PartitionedSimulation, run_multiprocess
-from repro.queueing import FCFSQueue
+from repro.verification.parity import sharded_fleet_scenario
 
-WAN_LATENCY = 0.150  # seconds: the lookahead
-HORIZON = 60.0
+REGIONS = 2
+HORIZON = 10.0
+SAMPLE_INTERVAL = 2.0
 
 
-def build_continent(name: str, sync_target: str, volume_mb: float):
-    """One continent: a file tier receiving cross-continent sync traffic."""
-    sim = Simulator(dt=0.01)
-    fs = sim.add_agent(FCFSQueue(f"{name}.fs", rate=100.0))  # 100 MB/s
-    received = []
+def run(parallel):
+    t0 = time.perf_counter()
+    result = simulate(sharded_fleet_scenario(REGIONS), until=HORIZON,
+                      collect=Collect(sample_interval=SAMPLE_INTERVAL),
+                      trace="full", parallel=parallel)
+    return result, time.perf_counter() - t0
 
-    def handler(env, now):
-        fs.submit(Job(env.payload["mb"],
-                      on_complete=lambda j, t: received.append(t),
-                      not_before=now), now)
 
-    part = Partition(name, sim, handler)
+def outputs(result):
+    """What the two runs must agree on, by name."""
+    return {
+        "records": sorted((r.operation, r.start, r.end, r.failed)
+                          for r in result.records),
+        "cascades": sorted((c.cascade_id, c.operation, c.client_dc,
+                            c.start, c.end, c.failed)
+                           for c in result.cascades()),
+        "series": {name: result.collector.series(name)
+                   for name in sorted(result.collector._probes)},
+        "telemetry": result.telemetry(),
+    }
 
-    def push(now):
-        part.send(sync_target, {"mb": volume_mb}, latency_s=WAN_LATENCY)
-        if now + 5.0 < HORIZON:
-            sim.schedule(now + 5.0, push)
 
-    sim.schedule(1.0, push)
-    return part, fs, received
+def close(a, b, rel=1e-9):
+    """Structural equality with floats within ``rel``: windowed busy-time
+    accumulation reorders float additions."""
+    if isinstance(a, float):
+        return math.isclose(a, b, rel_tol=rel)
+    if dataclasses.is_dataclass(a):
+        return close(dataclasses.asdict(a), dataclasses.asdict(b), rel)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(close(a[k], b[k], rel)
+                                            for k in a)
+    return a == b
 
 
 def main() -> None:
-    print(f"two continents, {1000 * WAN_LATENCY:.0f} ms apart; each pushes "
-          f"a sync batch every 5 s for {HORIZON:.0f} s\n")
+    single, wall_single = run(None)
+    sharded, wall_sharded = run(ParallelOptions(workers=2))
+    rep = sharded.parallel
 
-    na, na_fs, na_recv = build_continent("NA", "EU", volume_mb=80.0)
-    eu, eu_fs, eu_recv = build_continent("EU", "NA", volume_mb=50.0)
-    coord = PartitionedSimulation([na, eu], min_latency_s=WAN_LATENCY)
-    t0 = time.perf_counter()
-    coord.run(HORIZON)
-    wall = time.perf_counter() - t0
-
-    rows = []
-    for name, recv, fs in (("NA", na_recv, na_fs), ("EU", eu_recv, eu_fs)):
-        tel = fs.telemetry()
-        rows.append([name, f"{len(recv)}", f"{tel.arrivals}",
-                     f"{tel.completions}", f"{tel.busy_time:.1f} s"])
     print(format_table(
-        ["partition", "batches received", "fs arrivals", "fs completions",
-         "fs busy time"],
-        rows, title="in-process coordinator (per-agent telemetry)"))
-    print(f"windows: {coord.windows_run} "
-          f"({HORIZON / coord.windows_run * 1000:.0f} ms each = the WAN "
-          f"lookahead), wall {wall * 1000:.0f} ms\n")
+        ["shard", "data centers"],
+        [[str(i), ", ".join(s)] for i, s in enumerate(rep.shards)],
+        title=f"{REGIONS}-region fleet cut into {rep.workers} shards "
+              f"({rep.cut} cut)"))
+    print(f"lookahead {1000 * rep.lookahead:.0f} ms, "
+          f"window {1000 * rep.window:.0f} ms: "
+          f"{rep.windows_run} windows over {HORIZON:.0f} s, "
+          f"{rep.envelopes} cross-shard envelopes")
+    print(f"wall: single process {wall_single:.2f} s, "
+          f"{rep.workers} workers {wall_sharded:.2f} s "
+          f"({rep.cores} core(s) visible; process startup dominates at "
+          "this scale)\n")
 
-    print("same scenario over the multiprocess transport (one OS process "
-          "per continent)...")
-    t0 = time.perf_counter()
-    finals = run_multiprocess(
-        {"NA": _na_factory, "EU": _eu_factory},
-        min_latency_s=WAN_LATENCY, until=HORIZON,
-    )
-    wall_mp = time.perf_counter() - t0
-    print(f"partitions finished at {finals} (wall {wall_mp * 1000:.0f} ms; "
-          "process startup dominates at this scale — the transport exists "
-          "to move partitions onto bigger iron)")
-
-
-# ----------------------------------------------------------------------
-# module-level factories: picklable for the spawn start method
-# ----------------------------------------------------------------------
-def _make_factory(name: str, target: str, volume_mb: float):
-    sim = Simulator(dt=0.01)
-    fs = sim.add_agent(FCFSQueue(f"{name}.fs", rate=100.0))
-
-    def handler(env, now):
-        fs.submit(Job(env.payload["mb"], not_before=now), now)
-
-    def step_hook(sim_, t0, t1):
-        # one push per 5-second boundary crossed by this window
-        if int(t1 / 5.0) > int(t0 / 5.0):
-            return [{"dst": target, "latency_s": WAN_LATENCY,
-                     "payload": {"mb": volume_mb}}]
-        return []
-
-    return sim, handler, step_hook
-
-
-def _na_factory():
-    return _make_factory("NA", "EU", 80.0)
-
-
-def _eu_factory():
-    return _make_factory("EU", "NA", 50.0)
+    a, b = outputs(single), outputs(sharded)
+    rows = []
+    for name in a:
+        # exact equality except telemetry floats (see close())
+        same = (close(a[name], b[name]) if name == "telemetry"
+                else a[name] == b[name])
+        rows.append([name, len(a[name]), "ok" if same else "MISMATCH"])
+    rows.append(["cross-shard envelopes", rep.envelopes,
+                 "ok" if rep.envelopes > 0 else "MISMATCH"])
+    print(format_table(["output", "entries", "sharded == single"], rows,
+                       title="sharded vs single process"))
+    failed = [row[0] for row in rows if row[2] != "ok"]
+    if failed:
+        raise SystemExit(f"sharded run diverged: {', '.join(failed)}")
 
 
 if __name__ == "__main__":

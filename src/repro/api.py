@@ -243,8 +243,8 @@ class RemotePort:
       (picklable data only) after ``latency_s`` of simulated time.
 
     In-process, delivery is a plain calendar entry at ``now +
-    latency_s``.  Sharded, the send becomes an
-    :class:`~repro.parallel.partition.Envelope` relayed at the next
+    latency_s``.  Sharded, the send becomes an envelope tuple
+    (:class:`repro.parallel.sharded._ShardPort`) relayed at the next
     window boundary — because every cross-shard latency is at least the
     lookahead (which bounds the window), the arrival time is identical.
     """

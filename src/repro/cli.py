@@ -35,7 +35,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         ["repro.topology", "servers, tiers, data centers, WAN routing"],
         ["repro.software", "R arrays, cascades, CAD/VIS/PDM, workloads"],
         ["repro.background", "SYNCHREP, INDEXBUILD, ownership, catalog"],
-        ["repro.parallel", "ports, scatter-gather, H-Dispatch, partitions"],
+        ["repro.parallel", "ports, scatter-gather, H-Dispatch, sharding"],
         ["repro.fluid", "analytic 24h solver for the case studies"],
         ["repro.reliability", "failure injection, availability metrics"],
         ["repro.resilience", "timeouts/retries, breakers, health failover"],

@@ -1,10 +1,11 @@
 """Agent and holon base classes (section 3.3.2).
 
 Agents are the lowest-level hardware components (CPU, NIC, disk...); each
-has an internal state manipulated by incoming jobs and by time-increment
-control signals.  Holons are recursive containers: a server holon
-encapsulates hardware agents, a tier holon encapsulates server holons, and
-so on up to data centers and the global infrastructure.
+has an internal state manipulated by incoming jobs and by the engine
+advancing it to its own next event.  Holons are recursive containers: a
+server holon encapsulates hardware agents, a tier holon encapsulates
+server holons, and so on up to data centers and the global
+infrastructure.
 """
 
 from __future__ import annotations
@@ -18,20 +19,15 @@ from repro.core.job import Job
 class Agent(ABC):
     """Base class for all hardware-component agents.
 
-    Subclasses implement :meth:`on_time_increment` (consume work over a
-    tick) and :meth:`sample` (report state to the collector).  The base
-    class maintains the agent's local clock and utilization accounting.
+    Subclasses implement the exact-event contract —
+    :meth:`next_event_time` returns the *exact* absolute time of the next
+    internal state change and :meth:`advance_to` processes every internal
+    event at its own timestamp — plus :meth:`enqueue` and
+    :meth:`queue_length`.  The base class maintains the agent's local
+    clock and utilization accounting.
     """
 
     agent_type: str = "agent"
-
-    # True when the subclass implements the exact-event contract:
-    # ``next_event_time()`` returns the *exact* absolute time of the next
-    # internal state change and ``advance_to(t)`` processes every internal
-    # event at its own timestamp.  Legacy agents (False) are driven through
-    # the ``on_time_increment`` shim and floored at one base tick by the
-    # engine, reproducing the discrete-time loop for them.
-    _exact_events: bool = False
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -73,30 +69,17 @@ class Agent(ABC):
     # ------------------------------------------------------------------
     # control signals
     # ------------------------------------------------------------------
+    @abstractmethod
     def next_event_time(self) -> float:
-        """Absolute time of this agent's earliest internal state change.
+        """Absolute time of this agent's earliest internal state change
+        (completion or admission); ``inf`` means no pending event (idle
+        or paused)."""
 
-        ``inf`` means no pending event (idle or paused).  Exact-event
-        agents return the precise completion/admission time; the legacy
-        default reports "immediately" whenever the agent holds work and
-        the engine floors that to one base tick.
-        """
-        if self._paused or self.idle():
-            return float("inf")
-        return self.local_time
-
+    @abstractmethod
     def advance_to(self, t: float) -> None:
-        """Process internal events (admissions, completions) up to ``t``.
-
-        Exact-event agents override this to replay each internal event at
-        its own timestamp; this legacy shim delegates the whole span to
-        :meth:`on_time_increment`.  Does not synchronize ``local_time``
-        for exact agents — see :meth:`sync_to`.
-        """
-        if self._paused or t <= self.local_time:
-            return
-        self.on_time_increment(self.local_time, t - self.local_time)
-        self.local_time = t
+        """Process internal events (admissions, completions) up to ``t``,
+        each at its own timestamp.  Does not synchronize ``local_time`` —
+        see :meth:`sync_to`."""
 
     def sync_to(self, t: float) -> None:
         """Advance through internal events up to ``t`` and pin the local
@@ -104,26 +87,14 @@ class Agent(ABC):
 
         The engine calls this at measurement boundaries (monitor firings,
         end of run) so samples see up-to-date busy time and local clocks;
-        between boundaries exact agents are only touched at their own
-        events.
+        between boundaries agents are only touched at their own events.
+        The ch. 4 tick executors drive each agent through one tick with
+        ``sync_to(now + dt)``.  A paused (failed) agent consumes no work:
+        queued jobs wait for the repair.
         """
         self.advance_to(t)
         if t > self.local_time:
             self.local_time = t
-
-    def time_increment(self, now: float, dt: float) -> None:
-        """Handle a time-increment control signal (compat wrapper).
-
-        The discrete-time parallel engines still drive agents with
-        explicit ticks; this forwards to the exact-event interface.  A
-        paused (failed) agent consumes no work: queued jobs wait for the
-        repair.
-        """
-        self.sync_to(now + dt)
-
-    @abstractmethod
-    def on_time_increment(self, now: float, dt: float) -> None:
-        """Consume up to ``dt`` seconds of service from enqueued jobs."""
 
     def _reschedule(self) -> None:
         """Notify the engine (or composite parent) that this agent's
@@ -267,8 +238,8 @@ class Agent(ABC):
 
         Queued jobs remain queued and resume after :meth:`repair` — the
         crash-restart-retry pattern of commodity clusters.  ``now`` is the
-        failure instant; when omitted, exact-event agents freeze progress
-        at their last processed event.
+        failure instant; when omitted, the agent freezes progress at its
+        last processed event.
         """
         self._paused = True
         self.on_pause(now)
@@ -298,16 +269,6 @@ class Agent(ABC):
     def idle(self) -> bool:
         """True when the agent holds no work (engine may skip its tick)."""
         return self.queue_length() == 0
-
-    def time_to_next_completion(self) -> float:
-        """Lower bound on time until the next job completion.
-
-        Used by the adaptive engine to jump over quiescent intervals;
-        ``inf`` means no pending completion.  The default is conservative:
-        agents that cannot bound it return 0 so the engine falls back to
-        the base tick.
-        """
-        return 0.0 if not self.idle() else float("inf")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

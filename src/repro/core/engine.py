@@ -72,8 +72,9 @@ class Simulator:
     Parameters
     ----------
     dt:
-        Base tick in simulated seconds (the grid in ``fixed`` mode; the
-        floor for legacy non-exact agents otherwise).
+        Base tick in simulated seconds: the grid of ``fixed`` mode.  The
+        ``adaptive`` and ``event`` modes step from boundary to boundary
+        and do not read it.
     mode:
         ``"event"`` (default), ``"adaptive"`` or ``"fixed"`` stepping
         (see module docstring).
@@ -144,9 +145,6 @@ class Simulator:
         # and identical between the polled and heap-driven modes
         self._active: Dict[Agent, int] = {}
         self._active_counter = itertools.count()
-        # active agents that do NOT implement the exact-event contract;
-        # they are advanced at every boundary and floored at one base tick
-        self._legacy: Dict[Agent, None] = {}
         self._calendar: List[Tuple[float, int, EventFn]] = []
         self._calendar_counter = itertools.count()
         # monitor registry (registration order) + deadline heap
@@ -174,7 +172,7 @@ class Simulator:
         # insert (C-level, no Python frame); the other modes never read
         # next-event hints between boundaries, so the hook stays unset
         # and ``_reschedule`` short-circuits
-        if self.mode == "event" and agent._exact_events:
+        if self.mode == "event":
             agent._sched = self._dirty.setdefault
         else:
             agent._sched = None
@@ -190,8 +188,6 @@ class Simulator:
     def _activate(self, agent: Agent) -> None:
         if agent not in self._active:
             self._active[agent] = next(self._active_counter)
-            if not agent._exact_events:
-                self._legacy[agent] = None
 
     def _wake(self, agent: Agent) -> None:
         """Move an agent onto the active set (called from Agent.submit)."""
@@ -307,7 +303,6 @@ class Simulator:
                 agent.sync_to(self.clock.now)
                 if agent.idle():
                     self._active.pop(agent, None)
-                    self._legacy.pop(agent, None)
             if self.invariants is not None:
                 self.invariants.on_run_end(self.clock.now, self)
         finally:
@@ -418,17 +413,11 @@ class Simulator:
                         cand = when
                     break
                 heapq.heappop(wakes)
-        else:  # adaptive: poll every active exact agent
+        else:  # adaptive: poll every active agent
             for agent in self._active:
-                if agent._exact_events:
-                    ne = agent.next_event_time()
-                    if ne < cand:
-                        cand = ne
-        if self._legacy:
-            # legacy agents consume work continuously: floor at one tick
-            floor = now + self.clock.dt
-            if floor < cand:
-                cand = floor
+                ne = agent.next_event_time()
+                if ne < cand:
+                    cand = ne
         if cand > until + 1e-9:
             return None
         return cand if cand > now else now
@@ -446,18 +435,11 @@ class Simulator:
                     # re-pushes even if the new time happens to match
                     agent._wake_at = -_INF
                     due.append(agent)
-            for agent in self._legacy:
-                if not agent.paused:
-                    due.append(agent)
             if len(due) > 1:
                 seq = self._active
                 due.sort(key=lambda a: seq.get(a, 0))
             return due
-        return [
-            a for a in self._active
-            if (a.next_event_time() <= limit if a._exact_events
-                else not a.paused)
-        ]
+        return [a for a in self._active if a.next_event_time() <= limit]
 
     # ------------------------------------------------------------------
     # boundary processing
@@ -487,8 +469,6 @@ class Simulator:
             wakes = self._wakes
             counter = self._wake_counter
             for agent in due:
-                if not agent._exact_events:
-                    continue
                 dirty.pop(agent, None)
                 t = agent.next_event_time()
                 agent._wake_at = t
@@ -501,7 +481,6 @@ class Simulator:
                 continue
             if agent.idle():  # may have been refilled mid-loop
                 self._active.pop(agent, None)
-                self._legacy.pop(agent, None)
                 agent._wake_at = _INF
         if prof is not None:
             prof.record("wake", clk() - t0, calls=len(due))

@@ -26,8 +26,6 @@ class CompositeAgent(Agent):
     children exist.
     """
 
-    _exact_events = True
-
     # set by the vector kernel (repro.queueing.soa.vectorize_agents) on
     # SAN/RAID composites: the VectorArray owns event scheduling and the
     # composite's failure hooks forward to it

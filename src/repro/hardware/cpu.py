@@ -79,17 +79,9 @@ class CPU(CompositeAgent):
     def capacity(self) -> float:
         return float(sum(q.servers for q in self.socket_queues))
 
-    def time_to_next_completion(self) -> float:
-        return min(q.time_to_next_completion() for q in self.socket_queues)
-
     def on_crash(self) -> None:
         for q in self.socket_queues:
             q.on_crash()
-
-    def on_time_increment(self, now: float, dt: float) -> None:
-        for q in self.socket_queues:
-            q.on_time_increment(now, dt)
-            q.local_time = now + dt
 
     def sample(self, now: float) -> Dict[str, float]:
         window = max(now - self._window_start, 1e-12)
@@ -141,7 +133,6 @@ class TimeSharedCPU(Agent):
     """
 
     agent_type = "cpu-ts"
-    _exact_events = True
 
     def __init__(
         self,
@@ -209,12 +200,6 @@ class TimeSharedCPU(Agent):
     def _completions(self) -> int:
         return self.completed_count
 
-    def time_to_next_completion(self) -> float:
-        nxt = self._next_internal()
-        if nxt == _INF:
-            return _INF
-        return max(nxt - max(self.local_time, self._now), 0.0)
-
     # ------------------------------------------------------------------
     # exact-event contract
     # ------------------------------------------------------------------
@@ -231,11 +216,6 @@ class TimeSharedCPU(Agent):
         self._accrue_to(t)
         if t > self.local_time:
             self.local_time = t
-
-    def on_time_increment(self, now: float, dt: float) -> None:
-        """Compat entry point for the discrete-time parallel engines."""
-        self._advance_to(now + dt)
-        self._accrue_to(now + dt)
 
     # ------------------------------------------------------------------
     # internal event machinery
@@ -314,10 +294,6 @@ class TimeSharedCPU(Agent):
                     job.start_time = t
                 self.runnable.append(job)
         self._waiting.extend(still_guarded)
-
-    def _admit(self, now: float) -> None:
-        """Compat alias: process due events up to ``now``."""
-        self._advance_to(now)
 
     def _settle_to(self, t: float) -> None:
         if self.runnable and t > self._share_anchor:

@@ -102,18 +102,9 @@ class Disk(CompositeAgent):
             "hdd_busy_s": self.hdd.busy_time,
         }
 
-    def time_to_next_completion(self) -> float:
-        return min(self.dcc.time_to_next_completion(), self.hdd.time_to_next_completion())
-
     def on_crash(self) -> None:
         self.dcc.on_crash()
         self.hdd.on_crash()
-
-    def on_time_increment(self, now: float, dt: float) -> None:
-        self.dcc.on_time_increment(now, dt)
-        self.dcc.local_time = now + dt
-        self.hdd.on_time_increment(now, dt)
-        self.hdd.local_time = now + dt
 
     def sample(self, now: float) -> Dict[str, float]:
         window = max(now - self._window_start, 1e-12)

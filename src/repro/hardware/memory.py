@@ -42,9 +42,6 @@ class Memory(Agent):
     """
 
     agent_type = "memory"
-    # passive: allocations complete instantly, so the agent never holds
-    # work and never has a pending event — trivially exact
-    _exact_events = True
 
     def __init__(
         self,
@@ -106,8 +103,13 @@ class Memory(Agent):
         self.allocate(job.demand)
         job.finish(now)
 
-    def on_time_increment(self, now: float, dt: float) -> None:
-        pass  # passive component
+    def next_event_time(self) -> float:
+        # passive: allocations complete instantly, so the agent never
+        # holds work and never has a pending event
+        return float("inf")
+
+    def advance_to(self, t: float) -> None:
+        pass
 
     def queue_length(self) -> int:
         return 0

@@ -131,26 +131,12 @@ class RAID(CompositeAgent):
             "dacc_busy_s": self.dacc.busy_time,
         }
 
-    def time_to_next_completion(self) -> float:
-        t = self.dacc.time_to_next_completion()
-        for d in self.disks:
-            t = min(t, d.time_to_next_completion())
-        return t
-
     def on_crash(self) -> None:
         self.dacc.on_crash()
         for d in self.disks:
             d.on_crash()
         if self._varray is not None:
             self._varray.on_crash()
-
-    def on_time_increment(self, now: float, dt: float) -> None:
-        self.dacc.on_time_increment(now, dt)
-        self.dacc.local_time = now + dt
-        for d in self.disks:
-            # go through the paused gate: a failed member disk holds its
-            # stripe (degraded array) until it is repaired
-            d.time_increment(now, dt)
 
     def sample(self, now: float) -> Dict[str, float]:
         window = max(now - self._window_start, 1e-12)

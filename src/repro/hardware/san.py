@@ -151,12 +151,6 @@ class SAN(CompositeAgent):
             "fcsw_busy_s": self.fcsw.busy_time,
         }
 
-    def time_to_next_completion(self) -> float:
-        t = min(q.time_to_next_completion() for q in self._stages())
-        for d in self.disks:
-            t = min(t, d.time_to_next_completion())
-        return t
-
     def on_crash(self) -> None:
         for q in self._stages():
             q.on_crash()
@@ -164,14 +158,6 @@ class SAN(CompositeAgent):
             d.on_crash()
         if self._varray is not None:
             self._varray.on_crash()
-
-    def on_time_increment(self, now: float, dt: float) -> None:
-        for q in self._stages():
-            q.on_time_increment(now, dt)
-            q.local_time = now + dt
-        for d in self.disks:
-            d.on_time_increment(now, dt)
-            d.local_time = now + dt
 
     def sample(self, now: float) -> Dict[str, float]:
         window = max(now - self._window_start, 1e-12)

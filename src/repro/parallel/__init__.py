@@ -14,7 +14,7 @@ Implements the thesis's asynchronous-messaging machinery:
 * **H-Dispatch** (section 4.3.5) — a fixed pool of worker threads pulls
   *agent sets* from a global queue, amortizing dispatch overhead and
   avoiding allocation churn (Table 4.2).
-* **Sharded execution** (section 9.3.1, grown into a real backend) —
+* **Sharded execution** (section 9.3.1) — the one parallel transport:
   :func:`~repro.parallel.partition.partition_topology` cuts the data
   centers into shards, :mod:`repro.parallel.sharded` runs one engine
   per shard in its own OS process synchronized in conservative
@@ -40,14 +40,7 @@ from repro.parallel.coordination import (
 )
 from repro.parallel.scatter_gather import ScatterGatherExecutor
 from repro.parallel.hdispatch import HDispatchExecutor
-from repro.parallel.partition import (
-    Envelope,
-    Partition,
-    PartitionPlan,
-    PartitionedSimulation,
-    partition_topology,
-    run_multiprocess,
-)
+from repro.parallel.partition import PartitionPlan, partition_topology
 from repro.parallel.sharded import (
     MergedCollector,
     ParallelReport,
@@ -73,12 +66,8 @@ __all__ = [
     "Interleave",
     "ScatterGatherExecutor",
     "HDispatchExecutor",
-    "Envelope",
-    "Partition",
     "PartitionPlan",
-    "PartitionedSimulation",
     "partition_topology",
-    "run_multiprocess",
     "MergedCollector",
     "ParallelReport",
     "run_sharded",

@@ -80,7 +80,7 @@ class HDispatchExecutor:
             # sequential execution within the set: local-variable reuse,
             # no per-handler dispatch
             for agent in agent_set:
-                agent.time_increment(now, dt)
+                agent.sync_to(now + dt)
             self._barrier.release()
 
     # ------------------------------------------------------------------

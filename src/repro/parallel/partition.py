@@ -1,4 +1,4 @@
-"""Cross-machine scalability: partitioned simulation (thesis section 9.3.1).
+"""Topology cuts for sharded execution (thesis section 9.3.1).
 
 The thesis's final future-work direction is scaling the simulator
 *across machines*.  The natural partition boundary is the data center:
@@ -6,25 +6,9 @@ intra-DC interactions are dense and fine-grained, while inter-DC
 interactions cross WAN links whose propagation latency (tens to
 hundreds of milliseconds) dwarfs the simulation tick.  That latency is
 exploitable *lookahead* in the classic conservative sense: a message
-sent from partition A at time ``t`` cannot affect partition B before
-``t + L_AB``, so every partition can safely simulate a window of
+sent from shard A at time ``t`` cannot affect shard B before
+``t + L_AB``, so every shard can safely simulate a window of
 ``min(L)`` seconds with no synchronization at all.
-
-:class:`PartitionedSimulation` implements that synchronous-window
-protocol over any transport:
-
-* ``run(until)`` — sequential windows in one process (deterministic;
-  used for the equivalence tests),
-* ``run(until, executor="process")`` — each partition lives in its own
-  *process* built by a picklable factory (see
-  :meth:`PartitionedSimulation.from_factories` and
-  :func:`run_multiprocess`); envelopes cross via queues.  This is the
-  actual machine-distribution shape: replace the queues with sockets
-  and the partitions land on different hosts.
-
-Cross-partition traffic uses :class:`Envelope` — plain, picklable data.
-Each partition registers a handler that converts arriving envelopes
-into local work (e.g. enqueue a transfer on the local file tier).
 
 :func:`partition_topology` computes the *cut*: which data centers land
 in which shard.  The only supported cut axes are the natural ones —
@@ -33,42 +17,18 @@ weight) and ``"holon"`` (one DC per shard) — because DC boundaries are
 exactly where all interactions cross high-latency WAN links.  The
 resulting :class:`PartitionPlan` carries the cross-cut links and the
 lookahead ``min(L)`` they imply; the sharded execution backend
-(:mod:`repro.parallel.sharded`) turns the plan into worker processes.
+(:mod:`repro.parallel.sharded`) turns the plan into worker processes
+and runs the conservative windows.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Tuple
 
-from repro.core.engine import Simulator
-from repro.core.errors import ConfigurationError, SimulationError
+from repro.core.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """A cross-partition message: picklable data only (no closures)."""
-
-    src: str
-    dst: str
-    send_time: float
-    arrival_time: float
-    payload: Dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.arrival_time < self.send_time:
-            raise ValueError("messages cannot arrive before they are sent")
-
-
-#: Handler invoked inside the destination partition when an envelope
-#: arrives: ``handler(envelope, now)``.
-EnvelopeHandler = Callable[[Envelope, float], None]
-
-
-# ----------------------------------------------------------------------
-# topology cuts
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class PartitionPlan:
     """A cut of the topology's data centers into shards.
@@ -164,247 +124,3 @@ def partition_topology(topology, workers: int = 2,
                 cross.append((a, b, link.latency_s))
     return PartitionPlan(cut=cut, shards=shards,
                          cross_links=tuple(sorted(cross)))
-
-
-class Partition:
-    """One partition: a local engine plus its envelope handler."""
-
-    def __init__(self, name: str, sim: Simulator,
-                 handler: EnvelopeHandler) -> None:
-        self.name = name
-        self.sim = sim
-        self.handler = handler
-        self.outbox: List[Envelope] = []
-
-    def send(self, dst: str, payload: Dict[str, Any], latency_s: float,
-             now: Optional[float] = None) -> Envelope:
-        """Emit an envelope to another partition."""
-        t = self.sim.now if now is None else now
-        env = Envelope(src=self.name, dst=dst, send_time=t,
-                       arrival_time=t + latency_s, payload=dict(payload))
-        self.outbox.append(env)
-        return env
-
-    def schedule_arrival(self, env: Envelope) -> None:
-        """Register an incoming envelope with the local calendar."""
-        self.sim.schedule(env.arrival_time,
-                          lambda now, e=env: self.handler(e, now))
-
-
-class PartitionedSimulation:
-    """Synchronous-window conservative coordinator.
-
-    Parameters
-    ----------
-    partitions:
-        The named partitions.
-    min_latency_s:
-        The smallest inter-partition latency — the lookahead.  Every
-        envelope must declare at least this latency; violations raise,
-        because they would break the conservative guarantee.
-    """
-
-    def __init__(self, partitions: List[Partition],
-                 min_latency_s: float) -> None:
-        if not partitions:
-            raise ValueError("need at least one partition")
-        if min_latency_s <= 0:
-            raise ValueError(
-                "conservative windows need strictly positive lookahead"
-            )
-        names = [p.name for p in partitions]
-        if len(set(names)) != len(names):
-            raise ValueError("partition names must be unique")
-        self.partitions: Dict[str, Partition] = {p.name: p for p in partitions}
-        self.lookahead = float(min_latency_s)
-        self.windows_run = 0
-        self._factories: Optional[Mapping[str, "PartitionFactory"]] = None
-        #: Final per-partition simulation times of the last
-        #: ``executor="process"`` run.
-        self.finals: Dict[str, float] = {}
-
-    @classmethod
-    def from_factories(cls, factories: Mapping[str, "PartitionFactory"],
-                       min_latency_s: float) -> "PartitionedSimulation":
-        """A coordinator whose partitions are *built inside workers*.
-
-        The factories must be picklable (module-level callables); the
-        returned coordinator only supports ``run(executor="process")``,
-        since no partition exists in this process to step sequentially.
-        """
-        if not factories:
-            raise ValueError("need at least one partition factory")
-        coord = cls.__new__(cls)
-        if min_latency_s <= 0:
-            raise ValueError(
-                "conservative windows need strictly positive lookahead"
-            )
-        coord.partitions = {}
-        coord.lookahead = float(min_latency_s)
-        coord.windows_run = 0
-        coord._factories = dict(factories)
-        coord.finals = {}
-        return coord
-
-    # ------------------------------------------------------------------
-    def _exchange(self, window_end: float) -> int:
-        """Deliver every emitted envelope; enforce the lookahead contract."""
-        moved = 0
-        for part in self.partitions.values():
-            for env in part.outbox:
-                if env.arrival_time - env.send_time < self.lookahead - 1e-9:
-                    raise SimulationError(
-                        f"envelope {env.src}->{env.dst} declares "
-                        f"{env.arrival_time - env.send_time:.4f}s latency, "
-                        f"below the {self.lookahead:.4f}s lookahead"
-                    )
-                if env.dst not in self.partitions:
-                    raise KeyError(f"unknown partition {env.dst!r}")
-                self.partitions[env.dst].schedule_arrival(env)
-                moved += 1
-            part.outbox = []
-        return moved
-
-    def run(self, until: float, executor: Optional[str] = None,
-            max_workers: Optional[int] = None) -> None:
-        """Advance every partition to ``until`` in lookahead windows.
-
-        Within a window partitions are causally independent: any message
-        sent during the window arrives in a *later* window.
-
-        ``executor=None`` steps the partitions in-process (sequential,
-        deterministic).  ``executor="process"`` runs each partition in
-        its own OS process and requires the coordinator to have been
-        built with :meth:`from_factories`.  The historical ``"thread"``
-        executor is deprecated: a CPython thread pool is GIL-bound, so
-        it bought structure but no speed — it now warns and falls back
-        to the sequential stepper (same results, same window count).
-        """
-        if executor == "thread":
-            warnings.warn(
-                "executor='thread' is deprecated (GIL-bound; it never "
-                "ran faster than sequential): use executor=None for "
-                "in-process windows or executor='process' for the "
-                "multiprocess backend",
-                DeprecationWarning, stacklevel=2)
-            executor = None
-        if max_workers is not None:
-            warnings.warn(
-                "max_workers is deprecated and ignored: the process "
-                "executor runs one worker per partition",
-                DeprecationWarning, stacklevel=2)
-        if executor == "process":
-            if self._factories is None:
-                raise ConfigurationError(
-                    "executor='process' needs picklable partition "
-                    "factories: build the coordinator with "
-                    "PartitionedSimulation.from_factories(...) (or call "
-                    "run_multiprocess directly)")
-            self.finals = run_multiprocess(
-                self._factories, min_latency_s=self.lookahead, until=until)
-            t = 0.0
-            while t < until - 1e-9:
-                t = min(t + self.lookahead, until)
-                self.windows_run += 1
-            return
-        if executor not in (None, "sequential"):
-            raise ValueError(f"unknown executor {executor!r}")
-        if not self.partitions:
-            raise ConfigurationError(
-                "this coordinator was built from factories; its "
-                "partitions only exist inside workers — run with "
-                "executor='process'")
-        t = min(p.sim.now for p in self.partitions.values())
-        while t < until - 1e-9:
-            window_end = min(t + self.lookahead, until)
-            for p in self.partitions.values():
-                p.sim.run(window_end)
-            self._exchange(window_end)
-            self.windows_run += 1
-            t = window_end
-
-
-# ----------------------------------------------------------------------
-# multiprocess transport (the actual cross-machine shape)
-# ----------------------------------------------------------------------
-#: A picklable factory: ``factory() -> (Simulator, handler, step_hook)``
-#: built entirely inside the worker process.  ``step_hook(sim, t0, t1)``
-#: optionally injects local work per window and returns envelopes to
-#: emit (as plain dicts: dst, latency_s, payload).
-PartitionFactory = Callable[[], Tuple[Simulator, EnvelopeHandler,
-                                      Optional[Callable]]]
-
-
-def _partition_worker(name: str, factory: PartitionFactory, lookahead: float,
-                      until: float, inbox, outbox, result) -> None:
-    """Worker-process loop: window, exchange, repeat (module-level so it
-    pickles under the spawn start method)."""
-    sim, handler, step_hook = factory()
-    part = Partition(name, sim, handler)
-    t = 0.0
-    while t < until - 1e-9:
-        window_end = min(t + lookahead, until)
-        if step_hook is not None:
-            for spec in step_hook(sim, t, window_end) or []:
-                part.send(spec["dst"], spec.get("payload", {}),
-                          spec["latency_s"], now=t)
-        sim.run(window_end)
-        outbox.put([
-            (e.src, e.dst, e.send_time, e.arrival_time, e.payload)
-            for e in part.outbox
-        ])
-        part.outbox = []
-        for (src, dst, st, at, payload) in inbox.get():
-            part.schedule_arrival(Envelope(src, dst, st, at, payload))
-        t = window_end
-    result.put((name, sim.now))
-
-
-def run_multiprocess(
-    factories: Mapping[str, PartitionFactory],
-    min_latency_s: float,
-    until: float,
-) -> Dict[str, float]:
-    """Run partitions in separate OS processes (GIL-free).
-
-    Returns each partition's final simulation time.  The coordinator
-    relays envelopes between windows; swapping the queues for sockets
-    distributes the partitions across machines unchanged.
-    """
-    import multiprocessing as mp
-
-    if min_latency_s <= 0:
-        raise ValueError("need strictly positive lookahead")
-    ctx = mp.get_context("spawn")
-    inboxes = {n: ctx.Queue() for n in factories}
-    outboxes = {n: ctx.Queue() for n in factories}
-    result: Any = ctx.Queue()
-    procs = [
-        ctx.Process(target=_partition_worker,
-                    args=(n, f, min_latency_s, until,
-                          inboxes[n], outboxes[n], result))
-        for n, f in factories.items()
-    ]
-    for p in procs:
-        p.start()
-    t = 0.0
-    try:
-        while t < until - 1e-9:
-            window_end = min(t + min_latency_s, until)
-            pending: Dict[str, list] = {n: [] for n in factories}
-            for n in factories:
-                for env_tuple in outboxes[n].get():
-                    pending[env_tuple[1]].append(env_tuple)
-            for n in factories:
-                inboxes[n].put(pending[n])
-            t = window_end
-        finals = {}
-        for _ in factories:
-            name, now = result.get()
-            finals[name] = now
-        return finals
-    finally:
-        for p in procs:
-            p.join(timeout=10.0)
-            if p.is_alive():
-                p.terminate()

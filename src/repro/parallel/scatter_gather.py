@@ -51,7 +51,7 @@ class ScatterGatherExecutor:
                 # exclusive interleave between the time-increment handler
                 # and any interaction handler touching this agent
                 with lock:
-                    agent.time_increment(now, dt)
+                    agent.sync_to(now + dt)
                 sync_port.post(agent.name)
 
             return handle

@@ -1,16 +1,16 @@
 """Sharded multi-process execution backend for :func:`repro.api.simulate`.
 
-This is :class:`~repro.parallel.partition.PartitionedSimulation` grown
-into a real backend: :func:`repro.parallel.partition.partition_topology`
-cuts the scenario's data centers into shards, each shard builds a full
+This is the simulator's one parallel transport (thesis section 9.3.1):
+:func:`repro.parallel.partition.partition_topology` cuts the scenario's
+data centers into shards, each shard builds a full
 :class:`~repro.api.SimulationSession` *in its own OS process* (the
 session registers only the shard's agents — see
 ``SimulationSession.owns``), and all shards advance in conservative
 windows bounded by the smallest cross-shard WAN latency (the §4.3.3
 interaction-timestamp guard).  Cross-shard traffic sent through
-``session.remote`` crosses as
-:class:`~repro.parallel.partition.Envelope` tuples over multiprocessing
-queues at window boundaries.
+``session.remote`` crosses as plain envelope tuples (see
+:class:`_ShardPort`) over multiprocessing queues at window
+boundaries.
 
 Equivalence with the single-process engine rests on three facts:
 

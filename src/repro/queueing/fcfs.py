@@ -40,7 +40,6 @@ class FCFSQueue(Agent):
     """
 
     agent_type = "fcfs"
-    _exact_events = True
 
     # set by BatchedTier.adopt_fcfs under the vector kernel: scheduling,
     # completions and failure bookkeeping delegate to the bank while this
@@ -98,12 +97,6 @@ class FCFSQueue(Agent):
     def _completions(self) -> int:
         return self.completed_count
 
-    def time_to_next_completion(self) -> float:
-        nxt = self._next_internal()
-        if nxt == _INF:
-            return _INF
-        return max(nxt - max(self.local_time, self._now), 0.0)
-
     # ------------------------------------------------------------------
     # exact-event contract
     # ------------------------------------------------------------------
@@ -128,11 +121,6 @@ class FCFSQueue(Agent):
         self._accrue_to(t)
         if t > self.local_time:
             self.local_time = t
-
-    def on_time_increment(self, now: float, dt: float) -> None:
-        """Compat entry point for the discrete-time parallel engines."""
-        self._advance_to(now + dt)
-        self._accrue_to(now + dt)
 
     # ------------------------------------------------------------------
     # internal event machinery
@@ -202,10 +190,6 @@ class FCFSQueue(Agent):
                 head.start_time = t
             head.finish_at = t + head.remaining / self.rate
             self.in_service.append(head)
-
-    def _admit(self, now: float) -> None:
-        """Compat alias: process due admissions/completions up to ``now``."""
-        self._advance_to(now)
 
     def _accrue_to(self, t: float) -> None:
         if t <= self._busy_anchor:

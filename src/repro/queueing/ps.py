@@ -41,7 +41,6 @@ class PSQueue(Agent):
     """
 
     agent_type = "ps"
-    _exact_events = True
 
     def __init__(
         self,
@@ -94,12 +93,6 @@ class PSQueue(Agent):
     def _completions(self) -> int:
         return self.completed_count
 
-    def time_to_next_completion(self) -> float:
-        nxt = self._next_internal()
-        if nxt == _INF:
-            return _INF
-        return max(nxt - max(self.local_time, self._now), 0.0)
-
     # ------------------------------------------------------------------
     # exact-event contract
     # ------------------------------------------------------------------
@@ -116,11 +109,6 @@ class PSQueue(Agent):
         self._accrue_to(t)
         if t > self.local_time:
             self.local_time = t
-
-    def on_time_increment(self, now: float, dt: float) -> None:
-        """Compat entry point for the discrete-time parallel engines."""
-        self._advance_to(now + dt)
-        self._accrue_to(now + dt)
 
     # ------------------------------------------------------------------
     # internal event machinery
@@ -207,10 +195,6 @@ class PSQueue(Agent):
             if head.start_time is None:
                 head.start_time = t
             self.active.append(head)
-
-    def _admit(self, now: float) -> None:
-        """Compat alias: process due admissions/completions up to ``now``."""
-        self._advance_to(now)
 
     def _settle_to(self, t: float) -> None:
         """Decrement remaining work to ``t`` (share-change points only)."""

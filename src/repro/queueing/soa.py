@@ -200,7 +200,6 @@ class BatchedTier(Agent):
     """
 
     agent_type = "batched-tier"
-    _exact_events = True
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
@@ -505,15 +504,6 @@ class BatchedTier(Agent):
             return False
         return all(ps.queue_length() == 0 for ps in self._ps)
 
-    def on_time_increment(self, now: float, dt: float) -> None:
-        # fixed-mode compatibility shim; the vector kernel rejects
-        # mode="fixed" at the simulate() layer
-        self.advance_to(now + dt)
-
-    def time_to_next_completion(self) -> float:
-        nxt = self.next_event_time()
-        return _INF if nxt == _INF else max(nxt - self._now, 0.0)
-
 
 class VectorArray(Agent):
     """Closed-form scheduler for one SAN/RAID composite.
@@ -533,7 +523,6 @@ class VectorArray(Agent):
     """
 
     agent_type = "vector-array"
-    _exact_events = True
 
     def __init__(self, owner) -> None:
         super().__init__(f"{owner.name}.varray")
@@ -862,9 +851,6 @@ class VectorArray(Agent):
             and self._pend_rounds == 0
             and self._pend_fan_completions == 0
         )
-
-    def on_time_increment(self, now: float, dt: float) -> None:
-        self.advance_to(now + dt)
 
 
 # ----------------------------------------------------------------------

@@ -50,7 +50,9 @@ Checks
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple,
+)
 
 from repro.core.errors import InvariantViolation
 
@@ -81,14 +83,27 @@ class Violation:
         return f"[t={self.time:.6f}] {self.check}{where}: {self.detail}"
 
 
-def _leaf_stations(agents: Iterable["Agent"]) -> List["Agent"]:
-    """Registered leaf queue stations with crisp 1:1 job accounting."""
+def _leaf_stations(agents: Iterable["Agent"],
+                   leaf_types: Dict[type, bool]) -> List["Agent"]:
+    """Registered leaf queue stations with crisp 1:1 job accounting.
+
+    ``leaf_types`` memoizes the verdict per agent class: the ABC
+    ``isinstance`` scans would otherwise dominate a per-boundary filter.
+    """
     from repro.hardware.cpu import CPU, TimeSharedCPU
     from repro.queueing.fcfs import FCFSQueue
     from repro.queueing.ps import PSQueue
 
     leaf = (FCFSQueue, PSQueue, TimeSharedCPU, CPU)
-    return [a for a in agents if isinstance(a, leaf)]
+    out = []
+    for a in agents:
+        cls = type(a)
+        is_leaf = leaf_types.get(cls)
+        if is_leaf is None:
+            is_leaf = leaf_types[cls] = issubclass(cls, leaf)
+        if is_leaf:
+            out.append(a)
+    return out
 
 
 class InvariantChecker:
@@ -144,6 +159,7 @@ class InvariantChecker:
         self._state: Dict["Agent", Tuple[float, float]] = {}
         # Little's law accumulators: agent -> [queue_len_integral, last_t]
         self._l_int: Dict["Agent", List[float]] = {}
+        self._leaf_types: Dict[type, bool] = {}
 
     # ------------------------------------------------------------------
     # wiring
@@ -169,7 +185,11 @@ class InvariantChecker:
                        f" -> {now:.9f}")
         window = now - self._last_now if self._last_now != -_INF else now
         state = self._state
-        leaf = set(_leaf_stations(sim.agents))
+        # one leaf scan and one queue-length read per agent per boundary,
+        # shared by every check
+        leaf_list = _leaf_stations(sim.agents, self._leaf_types)
+        leaf = set(leaf_list)
+        qlens: List[int] = []
         for agent in sim.agents:
             prev = state.get(agent)
             last_local, last_busy = prev if prev is not None else (0.0, 0.0)
@@ -185,6 +205,7 @@ class InvariantChecker:
                                f"engine t={now:.9f}")
             busy = agent._busy_seconds()
             qlen = agent.queue_length()
+            qlens.append(qlen)
             if "non_negative" in checks:
                 if qlen < 0:
                     self._flag(now, "non_negative", agent.name,
@@ -207,9 +228,9 @@ class InvariantChecker:
                                f"with capacity {cap:g}")
             state[agent] = (agent.local_time, busy)
         if "conservation" in checks:
-            self._check_conservation(now, sim)
+            self._check_conservation(now, sim, leaf, qlens)
         if "littles_law" in checks:
-            self._accumulate_little(now, sim)
+            self._accumulate_little(now, leaf_list)
         if ("fingerprint" in checks and self._session is not None
                 and self.fingerprint_every > 0
                 and self.boundaries % self.fingerprint_every == 0):
@@ -225,9 +246,9 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # individual checks
     # ------------------------------------------------------------------
-    def _check_conservation(self, now: float, sim: "Simulator") -> None:
-        leaf = set(_leaf_stations(sim.agents))
-        for agent in sim.agents:
+    def _check_conservation(self, now: float, sim: "Simulator",
+                            leaf: Set["Agent"], qlens: List[int]) -> None:
+        for agent, qlen in zip(sim.agents, qlens):
             completions = agent._completions()
             if agent.arrivals == 0 and completions > 0:
                 # fed through enqueue() (internal sub-stage used
@@ -239,7 +260,6 @@ class InvariantChecker:
                            f"negative in-flight: arrivals={agent.arrivals} "
                            f"completions={completions} drops={agent.drops}")
                 continue
-            qlen = agent.queue_length()
             if agent in leaf:
                 if in_flight != qlen:
                     self._flag(
@@ -255,8 +275,9 @@ class InvariantChecker:
                            f"drained (queue empty) but in-flight="
                            f"{in_flight}")
 
-    def _accumulate_little(self, now: float, sim: "Simulator") -> None:
-        for agent in _leaf_stations(sim.agents):
+    def _accumulate_little(self, now: float,
+                           leaf: List["Agent"]) -> None:
+        for agent in leaf:
             acc = self._l_int.get(agent)
             if acc is None:
                 self._l_int[agent] = [0.0, now]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Simulator, Job
+from repro.hardware import CPU, RAID, Disk
 from repro.parallel import (
     HDispatchExecutor,
     ScatterGatherExecutor,
@@ -57,6 +58,72 @@ def test_hdispatch_matches_sequential(threads, set_size):
     finally:
         ex.close()
     assert sorted(completions) == pytest.approx(expected, abs=0.02)
+
+
+REPAIR_TICK = 100  # the failed RAID member returns at t = 1.0
+
+
+def make_composites():
+    """A CPU, a Disk and a RAID whose member disk 1 is down from t=0."""
+    cpu = CPU("cpu", frequency_hz=1e9, sockets=2, cores=2)
+    disk = Disk("disk", controller_bps=2e8, drive_bps=5e7, seed=3)
+    raid = RAID("raid", n_disks=3, array_controller_bps=4e8,
+                controller_bps=2e8, drive_bps=5e7, seed=5)
+    raid.disks[1].fail(crash=False, now=0.0)
+    completions = []
+    for agent, demand, n in ((cpu, 3e8, 4), (disk, 2e7, 2), (raid, 3e7, 2)):
+        for _ in range(n):
+            agent.submit(Job(demand, on_complete=lambda j, t, a=agent.name:
+                             completions.append((a, t))), 0.0)
+    return [cpu, disk, raid], completions
+
+
+def composite_reference():
+    sim = Simulator(dt=0.01, mode="fixed")
+    agents, completions = make_composites()
+    sim.add_agents(agents)
+    raid = agents[2]
+    sim.schedule(REPAIR_TICK * 0.01,
+                 lambda now: raid.disks[1].repair(now))
+    sim.run(2.0)
+    return by_agent(completions)
+
+
+def by_agent(completions):
+    out = {}
+    for name, t in sorted(completions):
+        out.setdefault(name, []).append(t)
+    return out
+
+
+@pytest.mark.parametrize("make_executor", [
+    lambda agents: ScatterGatherExecutor(agents, threads=2),
+    lambda agents: HDispatchExecutor(agents, threads=2, agent_set_size=2),
+], ids=["scatter_gather", "hdispatch"])
+def test_executors_match_sequential_on_composites(make_executor):
+    """Composites under the tick executors: a failed RAID member holds
+    its stripe (degraded array) until its repair, as in the engine."""
+    expected = composite_reference()
+    agents, completions = make_composites()
+    raid = agents[2]
+    ex = make_executor(agents)
+    try:
+        for k in range(200):
+            t = k * 0.01
+            if k == REPAIR_TICK:
+                # the stripe is still held: the healthy members are done
+                assert not [a for a, _ in completions if a == "raid"]
+                assert raid.disks[1].queue_length() == 2
+                assert raid.disks[0].idle() and raid.disks[2].idle()
+                raid.disks[1].repair(t)
+            ex.tick(t, 0.01)
+    finally:
+        ex.close()
+    got = by_agent(completions)
+    assert got.keys() == expected.keys() == {"cpu", "disk", "raid"}
+    for name, times in expected.items():
+        assert got[name] == pytest.approx(times, abs=0.02), name
+    assert len(expected["raid"]) == 2 and expected["raid"][0] > 1.0
 
 
 def test_hdispatch_agent_sets_cover_all_agents():

@@ -375,3 +375,26 @@ def test_worker_failure_is_structured():
     assert err.value.shard >= 0
     assert err.value.dcs and "DNA" not in err.value.dcs
     assert "boom" in err.value.details  # full worker traceback aboard
+
+
+def _short_hop_setup(session):
+    from repro.verification.parity import _sharded_fleet_setup
+
+    _sharded_fleet_setup(session)
+    if session.owns("DNA"):  # a cross-shard send faster than the window
+        session.sim.schedule(0.5, lambda now: session.remote.send(
+            "DNA", "R00", {}, latency_s=REGION_LATENCY_S / 2))
+
+
+def test_remote_send_below_window_is_rejected():
+    """The conservative guarantee: a cross-shard message may not arrive
+    inside the window it was sent in, so the send itself raises."""
+    from repro.core.errors import WorkerError
+    from repro.verification.parity import sharded_fleet_scenario
+
+    sc = sharded_fleet_scenario(2)
+    sc = type(sc)(**{**sc.__dict__, "setup": _short_hop_setup})
+    with pytest.raises(WorkerError) as err:
+        simulate(sc, until=3.0, parallel=ParallelOptions(workers=2))
+    assert "DNA" in err.value.dcs
+    assert "synchronization window" in err.value.details

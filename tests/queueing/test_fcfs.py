@@ -91,9 +91,10 @@ def test_invalid_parameters():
         FCFSQueue("q", rate=1.0, servers=0)
 
 
-def test_time_to_next_completion():
+def test_next_event_time():
     q = FCFSQueue("q", rate=10.0)
-    assert q.time_to_next_completion() == float("inf")
+    assert q.next_event_time() == float("inf")
     q.submit(Job(5.0), 0.0)
-    q._admit(0.0)
-    assert q.time_to_next_completion() == pytest.approx(0.5)
+    assert q.next_event_time() == pytest.approx(0.5)
+    q.fail(crash=False, now=0.1)
+    assert q.next_event_time() == float("inf")

@@ -77,17 +77,22 @@ def test_psk_never_serves_more_than_k(demands, k):
     sim = Simulator(dt=0.01)
     sim.add_agent(q)
     max_active = {"v": 0}
+    calls = {"n": 0}
 
-    orig = q.on_time_increment
+    # every admission and completion goes through the instance's
+    # ``_advance_to`` (from enqueue and from the engine's advance_to)
+    orig = q._advance_to
 
-    def spy(now, dt):
-        orig(now, dt)
+    def spy(t):
+        orig(t)
+        calls["n"] += 1
         max_active["v"] = max(max_active["v"], len(q.active))
 
-    q.on_time_increment = spy
+    q._advance_to = spy
     for d in demands:
         q.submit(Job(d), 0.0)
     sim.run(sum(demands) / 5.0 + 10.0)
+    assert calls["n"] > 0
     assert max_active["v"] <= k
 
 
