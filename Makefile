@@ -3,9 +3,8 @@
 PYTHON ?= python3
 
 .PHONY: install test test-fast test-cov test-deep verify-oracles bench \
-        bench-full bench-engine bench-parallel examples trace-demo \
-        trace-parallel-demo resilience-demo checkpoint-roundtrip \
-        metrics-compare lint clean
+        bench-full examples trace-demo trace-parallel-demo \
+        resilience-demo checkpoint-roundtrip lint clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -32,19 +31,6 @@ bench:
 
 bench-full:  ## thesis-length chapter 5 experiments
 	REPRO_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-engine:  ## stepping-mode comparison, writes BENCH_engine.json
-	$(PYTHON) scripts/bench_engine.py
-
-bench-parallel:  ## sharded-backend worker sweep, merges into BENCH_engine.json
-	$(PYTHON) scripts/bench_parallel.py
-
-metrics-compare:  ## metered quick run diffed against the committed baseline
-	$(PYTHON) scripts/bench_engine.py --quick --reps 1 \
-	    --scenarios validation-ch5 --out /tmp/bench_quick.json \
-	    --metrics-out /tmp/metrics_quick.json
-	PYTHONPATH=src $(PYTHON) -m repro compare BENCH_metrics.json \
-	    /tmp/metrics_quick.json --metric-tolerance wall=0.5
 
 lint:  ## style check of the engine core, queueing, observability, metrics
 	$(PYTHON) -m ruff check src/repro/core src/repro/queueing \

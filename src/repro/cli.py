@@ -60,7 +60,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
               steady_window=(min(300.0, args.until * 0.3),
                              args.until * 0.9))
     phys = run_experiment(spec, physical=True, **kw)
-    sim = run_experiment(spec, physical=False, **kw)
+    sim = run_experiment(spec, physical=False,
+                         metrics="on" if args.metrics_out else None, **kw)
     rows = []
     for tier in ("app", "db", "fs", "idx"):
         p, s = phys.steady_cpu_stats(tier), sim.steady_cpu_stats(tier)
@@ -72,6 +73,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     table = rmse_table({spec.name: {"physical": phys, "simulated": sim}})
     print("\nRMSE: " + "  ".join(
         f"{k}={v:.1f}%" for k, v in table[spec.name].items()))
+    if args.metrics_out:
+        sim.metrics.write_snapshot(args.metrics_out, meta={
+            "scenario": spec.name, "until": args.until})
+        print(f"wrote the simulated run's metrics to {args.metrics_out}")
     return 0
 
 
@@ -260,11 +265,15 @@ def _parse_metric_tolerances(specs, prog: str):
                   f"FRAGMENT=FLOAT, got {spec!r}", file=sys.stderr)
             return None
         try:
-            overrides[fragment] = float(value)
+            tolerance = float(value)
         except ValueError:
-            print(f"{prog}: error: bad tolerance in {spec!r}",
-                  file=sys.stderr)
+            tolerance = float("nan")
+        # NaN compares false with every delta and would turn the gate off
+        if not tolerance >= 0.0:
+            print(f"{prog}: error: bad tolerance in {spec!r} (expects a "
+                  "non-negative number)", file=sys.stderr)
             return None
+        overrides[fragment] = tolerance
     return overrides
 
 
@@ -274,6 +283,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     overrides = _parse_metric_tolerances(args.metric_tolerance,
                                          "repro compare")
     if overrides is None:
+        return 2
+    if not args.tolerance >= 0.0:  # negative or NaN, as above
+        print(f"repro compare: error: bad --tolerance {args.tolerance!r} "
+              "(expects a non-negative number)", file=sys.stderr)
         return 2
     try:
         report, code = compare_paths(
@@ -287,10 +300,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if code == 2:
         print("repro compare: error: no comparable metrics between the "
               "two documents (different kinds?)", file=sys.stderr)
-    if code != 0 and args.no_gate:
-        print("repro compare: --no-gate set; exiting 0 despite "
-              f"{'regressions' if code == 1 else 'incomparability'}")
-        return 0
     return code
 
 
@@ -462,6 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--until", "--horizon", dest="until", type=float,
                    default=900.0,
                    help="simulated seconds (2280 = thesis length)")
+    p.add_argument("--metrics-out", metavar="PATH",
+                   help="meter the simulated run and write its metrics "
+                        "snapshot here (see BENCH_metrics.json)")
     p.set_defaults(func=_cmd_validate)
 
     sub.add_parser("consolidation",
@@ -515,11 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "compare",
         help="diff two metric snapshots; nonzero exit on regression",
-        description="Compare metric documents (snapshot JSON, JSONL "
-                    "event/metric logs, or BENCH_engine.json) and fail "
-                    "when a worse-direction metric moves past tolerance.")
-    p.add_argument("baseline", help="baseline snapshot / bench JSON")
-    p.add_argument("candidate", help="candidate snapshot / bench JSON")
+        description="Compare two metrics snapshots (JSON or JSONL, e.g. "
+                    "BENCH_metrics.json against a fresh `repro validate "
+                    "--metrics-out` run) and fail when a worse-direction "
+                    "metric moves past tolerance.")
+    p.add_argument("baseline", help="baseline snapshot (JSON or JSONL)")
+    p.add_argument("candidate", help="candidate snapshot (JSON or JSONL)")
     p.add_argument("--tolerance", type=float, default=0.10,
                    help="relative tolerance before a change gates "
                         "(default 0.10)")
@@ -528,8 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "contains FRAG uses tolerance TOL (repeatable)")
     p.add_argument("--verbose", action="store_true",
                    help="also list within-tolerance rows")
-    p.add_argument("--no-gate", action="store_true",
-                   help="report regressions but exit 0 (CI smoke mode)")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser(

@@ -1,11 +1,11 @@
 """Run-to-run metric regression detection (`python -m repro compare`).
 
-Diffs two metric documents — `MetricsRegistry.write_snapshot()` JSON,
-`write_jsonl()` JSONL, or a `scripts/bench_engine.py` BENCH_engine.json
-baseline — and reports per-metric relative deltas against a tolerance.
-Exit is nonzero when any *gating* metric moved in its bad direction by
-more than the tolerance, which is what lets `make metrics-compare` and
-the CI bench-smoke job catch perf/behaviour regressions mechanically.
+Diffs two metric documents — `MetricsRegistry.write_snapshot()` JSON
+or its `write_jsonl()` JSONL export — and reports per-metric relative
+deltas against a tolerance.  Exit is nonzero when any *gating* metric
+moved in its bad direction by more than the tolerance, so a behaviour
+regression against a committed snapshot (`BENCH_metrics.json`) fails
+mechanically.
 
 Direction is inferred from the metric name: latency/wait/failure-style
 metrics gate when they go *up*, throughput/completion-style metrics
@@ -46,7 +46,7 @@ def direction_of(name: str) -> str:
 # document loading / flattening
 # ----------------------------------------------------------------------
 def load_document(path: str) -> Dict[str, Any]:
-    """Load a metrics snapshot (JSON or JSONL) or a bench baseline."""
+    """Load a metrics snapshot (JSON or JSONL)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
@@ -60,23 +60,22 @@ def load_document(path: str) -> Dict[str, Any]:
     return {"snapshot": "repro-metrics-jsonl", "lines": lines}
 
 
-def flatten(doc: Dict[str, Any]) -> Dict[str, float]:
-    """Flatten any supported document into ``{metric_key: value}``.
+def flatten(doc: Any) -> Dict[str, float]:
+    """Flatten a snapshot or JSONL document into ``{metric_key: value}``.
 
-    Histograms expand to ``key:p50/p90/p99/mean/count`` rows; bench
-    baselines expand to ``bench:<scenario>:<mode>:<field>`` rows — so a
-    metrics snapshot and a bench file never silently cross-compare.
+    Histograms expand to ``key:p50/p90/p99/mean/count`` rows.  Anything
+    else — including a top-level JSON value that is not an object —
+    raises ``ValueError``.
     """
-    kind = doc.get("snapshot") or doc.get("bench")
+    kind = doc.get("snapshot") if isinstance(doc, dict) else None
     if kind == "repro-metrics":
         return _flatten_snapshot(doc)
-    if kind == "repro-metrics-jsonl":
-        return _flatten_jsonl(doc["lines"])
-    if doc.get("bench"):
-        return _flatten_bench(doc)
+    lines = doc.get("lines") if kind == "repro-metrics-jsonl" else None
+    if isinstance(lines, list) and all(isinstance(o, dict) for o in lines):
+        return _flatten_jsonl(lines)
     raise ValueError(
         "unrecognized metrics document (expected a repro-metrics "
-        "snapshot, JSONL export, or BENCH_engine.json)")
+        "snapshot or JSONL export)")
 
 
 def _hist_rows(key: str, hist: Dict[str, Any]) -> Dict[str, float]:
@@ -119,18 +118,6 @@ def _join(name: str, labels: Optional[Dict[str, str]]) -> str:
         return name
     body = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
     return f"{name}{{{body}}}"
-
-
-def _flatten_bench(doc: Dict[str, Any]) -> Dict[str, float]:
-    flat: Dict[str, float] = {}
-    for scenario, modes in doc.get("scenarios", {}).items():
-        for mode, cell in modes.items():
-            if not isinstance(cell, dict):
-                continue
-            for key, value in cell.items():
-                if isinstance(value, (int, float)) and key != "seed":
-                    flat[f"bench:{scenario}:{mode}:{key}"] = float(value)
-    return flat
 
 
 # ----------------------------------------------------------------------

@@ -102,7 +102,7 @@ class ParallelReport:
     shard_cpus: Tuple[float, ...] = ()
     #: Per-shard backend-phase seconds (window_advance /
     #: envelope_exchange / barrier_wait) — always measured, the
-    #: scaling-loss decomposition of the sweep in BENCH_engine.json.
+    #: scaling-loss decomposition perfbench reports as ``parallel.*_s``.
     shard_phases: Tuple[Dict[str, float], ...] = field(default=())
 
     def to_dict(self) -> Dict[str, Any]:

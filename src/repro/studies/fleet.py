@@ -4,9 +4,9 @@ The chapter 6 consolidated master platform scaled out to a global fleet
 of regional file-serving sites under a steady background-replication
 load: long NIC-dominated pulls with a small CPU/SAN tail on every
 server.  This is the *many mostly-idle agents* regime — hundreds of
-agents hold in-flight work, each with rare events — used by the engine
-bench (``scripts/bench_engine.py``), the parallel worker-count sweep
-(``scripts/bench_parallel.py``) and the sharded-execution parity tests.
+agents hold in-flight work, each with rare events — used by the
+``fleet-vector`` and ``fleet-sharded`` perfbench workloads, the
+partition-scaling benchmark and the sharded-execution parity tests.
 
 All traffic is server-local, so any data-center cut of the topology has
 no cross-shard cascades; the WAN links exist (155 Mbps, 80 ms to every

@@ -45,6 +45,34 @@ def test_validate_command_short(capsys):
     assert "RMSE" in out
 
 
+#: host-time gauges: the only rows of a metered run that depend on the
+#: machine rather than on the model
+_HOST_TIME_GAUGES = {"engine_run_wall_seconds", "engine_sim_wall_ratio"}
+
+
+def test_validate_metrics_reproduce_committed_baseline(tmp_path, capsys):
+    """The metered ch. 5 slice reproduces BENCH_metrics.json exactly.
+
+    Regenerate the baseline only for an intended behaviour change, with
+    ``python -m repro validate --experiment 1 --until 120
+    --metrics-out BENCH_metrics.json``.
+    """
+    from pathlib import Path
+
+    from repro.observability.compare import flatten, load_document
+
+    out = tmp_path / "metrics.json"
+    assert main(["validate", "--experiment", "1", "--until", "120",
+                 "--metrics-out", str(out)]) == 0
+    baseline = Path(__file__).resolve().parents[1] / "BENCH_metrics.json"
+    expected = flatten(load_document(str(baseline)))
+    got = flatten(load_document(str(out)))
+    assert set(got) == set(expected)
+    diff = {k: (expected[k], got[k]) for k in expected
+            if k not in _HOST_TIME_GAUGES and got[k] != expected[k]}
+    assert diff == {}
+
+
 def test_parser_defaults():
     parser = build_parser()
     args = parser.parse_args(["validate"])
@@ -113,13 +141,6 @@ def test_compare_exit_2_on_disjoint_documents(tmp_path, capsys):
     assert "no comparable metrics" in capsys.readouterr().err
 
 
-def test_compare_no_gate_downgrades_incomparability(tmp_path, capsys):
-    a = _write_snapshot(tmp_path / "a.json", {"alpha_total": 1.0})
-    b = _write_snapshot(tmp_path / "b.json", {"omega_total": 2.0})
-    assert main(["compare", a, b, "--no-gate"]) == 0
-    assert "--no-gate" in capsys.readouterr().out
-
-
 def test_compare_exit_2_on_missing_file(tmp_path, capsys):
     a = _write_snapshot(tmp_path / "a.json", {"alpha_total": 1.0})
     assert main(["compare", a, str(tmp_path / "nope.json")]) == 2
@@ -129,9 +150,13 @@ def test_compare_exit_2_on_missing_file(tmp_path, capsys):
 def test_compare_exit_2_on_unrecognized_document(tmp_path, capsys):
     a = _write_snapshot(tmp_path / "a.json", {"alpha_total": 1.0})
     bad = tmp_path / "bad.json"
-    bad.write_text('{"what": "ever"}')
-    assert main(["compare", a, str(bad)]) == 2
-    assert "unrecognized" in capsys.readouterr().err
+    # top-level JSON that is not an object included: a malformed baseline
+    # must not read as a regression (exit 1)
+    for document in ('{"what": "ever"}', "[1, 2]", '"x"', "5\n"):
+        bad.write_text(document)
+        assert main(["compare", a, str(bad)]) == 2
+        assert main(["compare", str(bad), a]) == 2
+        assert "unrecognized" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", [
@@ -139,6 +164,8 @@ def test_compare_exit_2_on_unrecognized_document(tmp_path, capsys):
     "frag=",       # empty value
     "=0.5",        # empty fragment would match every metric
     "frag=abc",    # non-float value
+    "frag=nan",    # NaN compares false with every delta: gate off
+    "frag=-0.1",   # negative: identical documents would regress
 ])
 def test_compare_rejects_malformed_tolerance(tmp_path, capsys, spec):
     a = _write_snapshot(tmp_path / "a.json", {"alpha_total": 1.0})
@@ -154,3 +181,17 @@ def test_compare_tolerance_override_applies(tmp_path, capsys):
     assert main(["compare", a, b]) == 1
     # ...while an explicit override admits it
     assert main(["compare", a, b, "--metric-tolerance", "wall=0.5"]) == 0
+    # an infinite tolerance is a valid, explicit opt-out
+    assert main(["compare", a, b, "--tolerance", "inf"]) == 0
+
+
+@pytest.mark.parametrize("value", [
+    "nan",   # compares false with every delta: a 5x failure rise passed
+    "-0.1",  # identical documents regressed
+])
+def test_compare_rejects_bad_global_tolerance(tmp_path, capsys, value):
+    a = _write_snapshot(tmp_path / "a.json", {"failed_total": 1.0})
+    b = _write_snapshot(tmp_path / "b.json", {"failed_total": 5.0})
+    for candidate in (a, b):
+        assert main(["compare", a, candidate, "--tolerance", value]) == 2
+        assert "tolerance" in capsys.readouterr().err

@@ -359,32 +359,36 @@ def test_compare_paths_snapshot_regression(tmp_path):
     assert "FAIL" in report.table()
 
 
-def test_compare_bench_documents(tmp_path):
-    def bench(wall, records):
-        return {"bench": "engine-stepping-modes", "scenarios": {
-            "validation-ch5": {"event": {
-                "wall_s": wall, "records": records, "seed": 42,
-                "mode": "event", "reps": 3}}}}
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    a.write_text(json.dumps(bench(1.0, 100)))
-    b.write_text(json.dumps(bench(1.05, 100)))
-    flat = flatten(load_document(str(a)))
-    assert flat == {"bench:validation-ch5:event:wall_s": 1.0,
-                    "bench:validation-ch5:event:records": 100.0,
-                    "bench:validation-ch5:event:reps": 3.0}
-    _, code = compare_paths(str(a), str(b))
-    assert code == 0  # 5% wall within the default 10%
-    b.write_text(json.dumps(bench(1.5, 100)))
-    _, code = compare_paths(str(a), str(b))
-    assert code == 1  # 50% wall regression gates
+def test_compare_snapshot_and_jsonl_flatten_alike(tmp_path):
+    reg = MetricsRegistry()
+    reg.counter("agent_completions_total", agent="DNA.Tapp").inc(40)
+    reg.counter("agent_completions_total", agent="DNA.Tdb").inc(7)
+    reg.counter("operations_failed_total").inc(2)
+    reg.gauge("engine_wake_heap_size", shard="0").set(12.5)
+    for v in (0.5, 1.0, 1.5, 2.0):
+        reg.histogram("operation_latency_seconds", op="OPEN",
+                      dc="DNA").observe(v)
+    reg.histogram("queue_wait_seconds").observe(0.25)
+    snapshot = tmp_path / "m.json"
+    jsonl = tmp_path / "m.jsonl"
+    reg.write_snapshot(snapshot)
+    reg.write_jsonl(jsonl)
+    flat = flatten(load_document(str(snapshot)))
+    assert flat == flatten(load_document(str(jsonl)))
+    assert flat['agent_completions_total{agent="DNA.Tdb"}'] == 7.0
+    assert 'operation_latency_seconds{dc="DNA",op="OPEN"}:p99' in flat
+    _, code = compare_paths(str(snapshot), str(jsonl))
+    assert code == 0
 
 
 def test_compare_disjoint_documents_exit_2(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    MetricsRegistry().write_snapshot(a)
-    b.write_text(json.dumps({"bench": "x", "scenarios": {}}))
+    first, second = MetricsRegistry(), MetricsRegistry()
+    first.counter("alpha_total").inc()
+    second.counter("omega_total").inc()
+    first.write_snapshot(a)
+    second.write_snapshot(b)
     _, code = compare_paths(str(a), str(b))
     assert code == 2
     with pytest.raises(ValueError):
@@ -406,10 +410,9 @@ def test_cli_compare_subcommand(tmp_path, capsys):
     assert main(["compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert "regression" in out and "FAIL" in out
-    # per-metric override and the CI no-gate escape hatch
+    # per-metric override
     assert main(["compare", str(a), str(b),
                  "--metric-tolerance", "queue_wait=0.5"]) == 0
-    assert main(["compare", str(a), str(b), "--no-gate"]) == 0
     assert DEFAULT_TOLERANCE == pytest.approx(0.10)
 
 

@@ -38,8 +38,9 @@ def test_verify_detects_injected_fault_end_to_end(tmp_path, capsys):
 
 
 def test_verify_rejects_malformed_tolerance(capsys):
-    assert main(["verify", "--quick", "--metric-tolerance", "oops"]) == 2
-    assert "tolerance" in capsys.readouterr().err
+    for spec in ("oops", "mm1=nan", "mm1=-0.1"):
+        assert main(["verify", "--quick", "--metric-tolerance", spec]) == 2
+        assert "tolerance" in capsys.readouterr().err
 
 
 @pytest.mark.slow
