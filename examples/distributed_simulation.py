@@ -12,16 +12,14 @@ boundaries.
 The demo prints the backend's window and envelope counts and then
 checks that the sharded run is equivalent to the single-process one:
 identical operation records, traced cascades (the control cascades
-cross the cut) and sampled series, and per-agent telemetry equal up to
-float rounding.
+cross the cut), sampled series and per-agent telemetry, busy-time
+floats included.
 
 Run:  python examples/distributed_simulation.py
 """
 
 from __future__ import annotations
 
-import dataclasses
-import math
 import time
 
 from repro import Collect, simulate
@@ -56,19 +54,6 @@ def outputs(result):
     }
 
 
-def close(a, b, rel=1e-9):
-    """Structural equality with floats within ``rel``: windowed busy-time
-    accumulation reorders float additions."""
-    if isinstance(a, float):
-        return math.isclose(a, b, rel_tol=rel)
-    if dataclasses.is_dataclass(a):
-        return close(dataclasses.asdict(a), dataclasses.asdict(b), rel)
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(close(a[k], b[k], rel)
-                                            for k in a)
-    return a == b
-
-
 def main() -> None:
     single, wall_single = run(None)
     sharded, wall_sharded = run(ParallelOptions(workers=2))
@@ -91,10 +76,8 @@ def main() -> None:
     a, b = outputs(single), outputs(sharded)
     rows = []
     for name in a:
-        # exact equality except telemetry floats (see close())
-        same = (close(a[name], b[name]) if name == "telemetry"
-                else a[name] == b[name])
-        rows.append([name, len(a[name]), "ok" if same else "MISMATCH"])
+        rows.append([name, len(a[name]),
+                     "ok" if a[name] == b[name] else "MISMATCH"])
     rows.append(["cross-shard envelopes", rep.envelopes,
                  "ok" if rep.envelopes > 0 else "MISMATCH"])
     print(format_table(["output", "entries", "sharded == single"], rows,

@@ -35,7 +35,18 @@ import heapq
 import itertools
 import time as _time
 from collections import defaultdict
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from contextlib import contextmanager
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.core.agent import Agent, Holon
 from repro.core.clock import SimClock
@@ -274,37 +285,68 @@ class Simulator:
         Events scheduled *by* horizon-time events drain deterministically
         before the run returns.
         """
+        with self._one_run():
+            self._advance(until)
+
+    def run_windowed(
+        self,
+        until: float,
+        window: float,
+        at_window_end: Callable[[float, float], None] | None = None,
+    ) -> int:
+        """Run to ``until`` in fixed windows, pausing between them.
+
+        The windows are one run: the boundary loop stops at each window
+        end, but the end-of-run drain happens once, at ``until``, so the
+        results are bit-exact against ``run(until)`` (busy-time floats
+        included).  Windowing only creates synchronization points:
+        ``at_window_end(window_start, window_end)`` fires after each
+        window, which is where a sharded coordinator exchanges
+        cross-shard envelopes.  Returns the number of windows run.
+        """
+        if window <= 0:
+            raise SimulationError("window must be positive")
+        windows = 0
+        with self._one_run():
+            t = self.clock.now
+            while t < until - 1e-9:
+                end = min(t + window, until)
+                self._advance(end)
+                if at_window_end is not None:
+                    at_window_end(t, end)
+                windows += 1
+                t = end
+        return windows
+
+    @contextmanager
+    def _one_run(self) -> Iterator[None]:
+        """Bracket one run (re-entrance guard, profiler, ``engine_run*``
+        metrics) and finish it once: bring every active agent current
+        for measurement, prune the idle ones and run the end-of-run
+        invariant sweep.
+
+        Syncing splits an agent's busy-time sum at the sync instant, so
+        doing it only here keeps a windowed run's floats identical to
+        an uninterrupted one's."""
         if self._running:
             raise SimulationError("simulator is not re-entrant")
         prof = self.profiler
+        met = self.metrics
         clk = _time.perf_counter
         self._running = True
-        met = self.metrics
         wall0 = clk() if met is not None else 0.0
         sim0 = self.clock.now
         if prof is not None:
             prof.start_run()
         try:
-            while True:
-                t0 = clk() if prof is not None else 0.0
-                t = self._next_boundary(until)
-                if prof is not None:
-                    prof.record("step_select", clk() - t0)
-                if t is None:
-                    break
-                self._process_boundary(t, prof, clk)
-            # horizon: land exactly on `until`, drain anything due there
-            # (including events scheduled by horizon-time events), then
-            # bring every active agent current for measurement
-            if self.clock.now < until:
-                self.clock.advance_to(until)
-            self._process_boundary(self.clock.now, prof, clk)
+            yield
+            now = self.clock.now
             for agent in list(self._active):
-                agent.sync_to(self.clock.now)
+                agent.sync_to(now)
                 if agent.idle():
                     self._active.pop(agent, None)
             if self.invariants is not None:
-                self.invariants.on_run_end(self.clock.now, self)
+                self.invariants.on_run_end(now, self)
         finally:
             self._running = False
             if prof is not None:
@@ -319,33 +361,23 @@ class Simulator:
                     met.gauge("engine_sim_wall_ratio").value = (
                         (self.clock.now - sim0) / wall)
 
-    def run_windowed(
-        self,
-        until: float,
-        window: float,
-        at_window_end: Callable[[float, float], None] | None = None,
-    ) -> int:
-        """Run to ``until`` in fixed windows, pausing between them.
-
-        Repeated ``run`` calls are bit-exact against one uninterrupted
-        run (the checkpoint-replay property), so this changes nothing
-        about the results — it only creates synchronization points:
-        ``at_window_end(window_start, window_end)`` fires after each
-        window, which is where a sharded coordinator exchanges
-        cross-shard envelopes.  Returns the number of windows run.
-        """
-        if window <= 0:
-            raise SimulationError("window must be positive")
-        windows = 0
-        t = self.clock.now
-        while t < until - 1e-9:
-            end = min(t + window, until)
-            self.run(end)
-            if at_window_end is not None:
-                at_window_end(t, end)
-            windows += 1
-            t = end
-        return windows
+    def _advance(self, until: float) -> None:
+        """The boundary loop: process every boundary up to ``until``,
+        then land exactly on ``until`` and drain anything due there
+        (including events scheduled by horizon-time events)."""
+        prof = self.profiler
+        clk = _time.perf_counter
+        while True:
+            t0 = clk() if prof is not None else 0.0
+            t = self._next_boundary(until)
+            if prof is not None:
+                prof.record("step_select", clk() - t0)
+            if t is None:
+                break
+            self._process_boundary(t, prof, clk)
+        if self.clock.now < until:
+            self.clock.advance_to(until)
+        self._process_boundary(self.clock.now, prof, clk)
 
     def _collect_engine_metrics(self, registry: MetricsRegistry) -> None:
         """Collect hook: derive boundary/wake totals and the

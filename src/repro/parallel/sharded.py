@@ -14,8 +14,10 @@ boundaries.
 
 Equivalence with the single-process engine rests on three facts:
 
-* repeated ``sim.run(t)`` calls are bit-exact against one uninterrupted
-  run (the checkpoint-replay property), so windowing changes nothing;
+* ``sim.run_windowed(until, window)`` is bit-exact against one
+  uninterrupted ``sim.run(until)``: it stops the boundary loop at each
+  window end but drains agents only once, at the horizon, so
+  windowing changes nothing, busy-time floats included;
 * every seed is derived from *global* indices (workload index, server
   index), so a shard draws exactly the random numbers the full run
   would draw for its agents;

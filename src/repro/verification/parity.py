@@ -10,17 +10,15 @@ check that ``python -m repro verify --parity`` can gate on.
 :func:`check_sharded` extends the same discipline to the sharded
 multiprocess backend (PR 6): one consolidation-fleet window with
 cross-shard ``RemotePort`` traffic runs single-process and with
-``parallel=ParallelOptions(...)``, and every merged output must agree.
-Discrete state (records, sampled series, metric fingerprints) must be
-*exactly* equal; time-integrated telemetry floats (``busy_time`` and
-friends) accumulate per window, so their addition order differs and the
-comparison allows a last-ULP relative tolerance (documented in
-``docs/parallel.md``).
+``parallel=ParallelOptions(...)``, and every merged output must be
+*exactly* equal: records, sampled series, metric fingerprints and
+per-agent telemetry, time-integrated floats (``busy_time``) included.
+A windowed run drains its agents only once, at the horizon, so its
+busy-time sums add in the same order as a single uninterrupted run's.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -266,25 +264,6 @@ def sharded_fleet_scenario(n_regions: int = 4, seed: int = 42) -> Scenario:
     )
 
 
-def _almost(a: Any, b: Any, rel: float) -> bool:
-    """Structural equality with relative tolerance on floats only."""
-    if isinstance(a, float) and isinstance(b, (int, float)):
-        if a == b:
-            return True
-        return abs(a - b) <= rel * max(abs(a), abs(b))
-    if type(a) is not type(b):
-        return False
-    if dataclasses.is_dataclass(a) and not isinstance(a, type):
-        return _almost(dataclasses.asdict(a), dataclasses.asdict(b), rel)
-    if isinstance(a, dict):
-        return (a.keys() == b.keys()
-                and all(_almost(a[k], b[k], rel) for k in a))
-    if isinstance(a, (list, tuple)):
-        return (len(a) == len(b)
-                and all(_almost(x, y, rel) for x, y in zip(a, b)))
-    return a == b
-
-
 def check_sharded(
     *,
     n_regions: int = 4,
@@ -293,16 +272,14 @@ def check_sharded(
     cut: str = "region",
     seed: int = 42,
     sample_interval: float = 2.0,
-    float_rel_tol: float = 1e-9,
     kernel: str = "scalar",
 ) -> ParityResult:
     """Diff the sharded backend against a single-process run.
 
-    Records, sampled series and metric fingerprint lines must be exactly
-    equal; telemetry floats are compared within ``float_rel_tol``
-    (windowed ``busy_time`` accumulation reorders float additions — the
-    drift is inherent to windowing, not to the shard transport, and is
-    reproduced by a single-process windowed run).  The check also
+    Records, sampled series, metric fingerprint lines and per-agent
+    telemetry (busy-time floats included) must be exactly equal: each
+    shard's windowed run is bit-exact against an uninterrupted one
+    (:meth:`~repro.core.engine.Simulator.run_windowed`).  The check also
     requires that cross-shard envelopes actually flowed, so a cut that
     silently localized the traffic cannot pass vacuously.
 
@@ -351,12 +328,11 @@ def check_sharded(
     for name, a, b in (("records", single[0], sharded[0]),
                        ("series", single[1], sharded[1]),
                        ("metrics", single[2], sharded[2]),
+                       ("telemetry", single[3], sharded[3]),
                        ("spans", single[4], sharded[4]),
                        ("cascades", single[5], sharded[5])):
         if a != b:
             mismatches.append(name)
-    if not _almost(single[3], sharded[3], float_rel_tol):
-        mismatches.append("telemetry")
     if not single[4]:
         mismatches.append("no-spans-recorded")
     report = reports["sharded"]

@@ -231,13 +231,30 @@ def test_sharded_merges_metrics_and_telemetry():
     )
     assert (sorted(result.metrics.fingerprint_lines())
             == sorted(single.metrics.fingerprint_lines()))
-    # merged telemetry covers every agent of the whole topology
-    assert set(result.telemetry()) == set(single.telemetry())
+    # merged telemetry covers every agent of the whole topology, and
+    # every busy-time float is bit-exact (one drain per windowed run)
+    assert result.telemetry() == single.telemetry()
     report = result.parallel
     assert report.workers == 2
     assert report.windows_run == 50  # 4.0s / 0.08s lookahead
     assert len(report.shard_walls) == 2
     assert report.fingerprint
+
+
+def test_windowed_shard_records_one_engine_run():
+    """Each shard's windowed run is one engine run: the run counter
+    merges to the worker count and the run gauges span the horizon,
+    not just the last window."""
+    from repro.verification.parity import sharded_fleet_scenario
+
+    result = simulate(sharded_fleet_scenario(4), until=10.0, metrics="on",
+                      parallel=ParallelOptions(workers=2))
+    gauges = result.metrics.to_dict()["gauges"]
+    assert result.metrics.counter("engine_runs_total").value == 2
+    assert gauges["engine_run_sim_seconds"] == 10.0
+    # the run wall includes every window's compute plus the barrier waits
+    last = result.parallel.shard_phases[-1]
+    assert gauges["engine_run_wall_seconds"] > last["window_advance"]
 
 
 def test_scenario_parallel_block_drives_simulate():
