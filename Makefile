@@ -2,8 +2,11 @@
 
 PYTHON ?= python3
 
+# every target runs from the checkout, installed or not
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test test-fast test-cov test-deep verify-oracles bench \
-        bench-full examples trace-demo trace-parallel-demo \
+        bench-full perfbench examples trace-demo trace-parallel-demo \
         resilience-demo checkpoint-roundtrip lint clean
 
 install:
@@ -23,7 +26,7 @@ test-deep:  ## wide hypothesis sweep (nightly CI profile)
 	HYPOTHESIS_PROFILE=deep $(PYTHON) -m pytest tests/
 
 verify-oracles:  ## differential sweep: simulated stations vs. closed forms
-	PYTHONPATH=src $(PYTHON) -m repro verify --report verify_report.json
+	$(PYTHON) -m repro verify --report verify_report.json
 	@echo "verify-oracles: wrote verify_report.json"
 
 bench:
@@ -31,6 +34,9 @@ bench:
 
 bench-full:  ## thesis-length chapter 5 experiments
 	REPRO_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+perfbench:  ## the repository benchmark: all four workloads, digest-checked
+	$(PYTHON) perfbench/run.py --workload all --seed 42
 
 lint:  ## style check of the engine core, queueing, observability, metrics
 	$(PYTHON) -m ruff check src/repro/core src/repro/queueing \

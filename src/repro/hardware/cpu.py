@@ -73,9 +73,6 @@ class CPU(CompositeAgent):
         target = min(self.socket_queues, key=lambda q: q.queue_length())
         target.enqueue(job, now)
 
-    def queue_length(self) -> int:
-        return sum(q.queue_length() for q in self.socket_queues)
-
     def capacity(self) -> float:
         return float(sum(q.servers for q in self.socket_queues))
 

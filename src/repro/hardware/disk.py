@@ -83,9 +83,6 @@ class Disk(CompositeAgent):
             now,
         )
 
-    def queue_length(self) -> int:
-        return self.dcc.queue_length() + self.hdd.queue_length()
-
     def capacity(self) -> float:
         return 1.0  # utilization is normalized to the bottleneck drive
 

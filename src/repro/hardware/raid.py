@@ -108,11 +108,6 @@ class RAID(CompositeAgent):
             now,
         )
 
-    def queue_length(self) -> int:
-        if self._varray is not None:
-            return self._varray.queue_length()
-        return self.dacc.queue_length() + sum(d.queue_length() for d in self.disks)
-
     def capacity(self) -> float:
         return float(self.n_disks)
 

@@ -126,13 +126,6 @@ class SAN(CompositeAgent):
     def _stages(self):
         return [self.fcsw, self.dacc, self.fcal]
 
-    def queue_length(self) -> int:
-        if self._varray is not None:
-            return self._varray.queue_length()
-        return sum(q.queue_length() for q in self._stages()) + sum(
-            d.queue_length() for d in self.disks
-        )
-
     def capacity(self) -> float:
         return float(self.n_disks)
 

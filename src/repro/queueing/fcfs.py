@@ -66,6 +66,15 @@ class FCFSQueue(Agent):
         # anchor points (internal events and measurement syncs)
         self._busy_anchor = 0.0
         self._advancing = False
+        # set by CompositeAgent._adopt_children: the composite whose
+        # queue_length() counts this station's jobs (its own
+        # ``_depth_owner`` continues the chain: Disk, then SAN), and this
+        # station's index in the outermost composite's event cache
+        self._depth_owner: Agent | None = None
+        self._parent_idx = -1
+        # cached ``_next_internal()``: None after any change to
+        # ``waiting``, ``in_service``, ``_now`` or a job's ``finish_at``
+        self._next: float | None = None
 
     # ------------------------------------------------------------------
     # queue interface
@@ -74,17 +83,47 @@ class FCFSQueue(Agent):
         if self._bank is not None:
             self._bank.fcfs_enqueue(self, job, now)
             return
-        # settle events that predate the arrival at their own timestamps,
-        # then record that the queue state changed at ``now`` so the
-        # admission below happens at exactly the arrival time
-        self._advance_to(now)
+        limit = now + 1e-9
+        # settle events that predate the arrival at their own timestamps
+        nxt = self._next
+        if nxt is None:
+            nxt = self._next_internal()
+        if nxt <= limit:
+            self.advance_to(now)
+            nxt = self._next_internal()
+        # the queue state changes at ``now``; an arrival from behind the
+        # station's clock (within the guard) is admitted at the clock
         if now > self._now:
             self._now = now
-        self.waiting.append(job)
-        self._advance_to(now)
-        # the arrival itself changes the next-event time even when no
-        # event fired (e.g. a guarded job waiting on a free server)
-        self._reschedule()
+        owner = self._depth_owner
+        while owner is not None:
+            owner._depth += 1
+            owner = owner._depth_owner
+        waiting = self.waiting
+        free = not waiting and len(self.in_service) < self.servers
+        waiting.append(job)
+        self._next = None
+        e = self._now
+        if (free and job.not_before <= e <= limit and nxt > e + 1e-12
+                and not self._advancing and not self._paused):
+            # one-step admission: the event loop's first event would be
+            # exactly this admission at ``e``, with no completion due there
+            self._accrue_to(e)
+            self._admit_at(e)
+            fin = job.finish_at
+            if fin <= limit:
+                # zero or sub-guard demand completes inside this enqueue
+                self.advance_to(now)
+            else:
+                # nothing waits, so the next event is the earliest finish
+                self._next = fin if fin < nxt else nxt
+        else:
+            self.advance_to(now)
+        # the arrival changes the next-event time even when no event
+        # fired (e.g. a guarded job waiting on a free server)
+        sched = self._sched
+        if sched is not None:
+            sched(self)
 
     def queue_length(self) -> int:
         if self._bank is not None:
@@ -105,19 +144,37 @@ class FCFSQueue(Agent):
             return _INF  # the bank schedules; stale hooks stay inert
         if self._paused:
             return _INF
-        return self._next_internal()
+        nxt = self._next
+        return nxt if nxt is not None else self._next_internal()
 
     def advance_to(self, t: float) -> None:
-        if self._bank is not None:
+        """Process every internal event up to ``t`` at its own timestamp."""
+        if self._advancing or self._paused or self._bank is not None:
             return
-        self._advance_to(t)
+        limit = t + 1e-9
+        e = self._next
+        if e is None:
+            e = self._next_internal()
+        if e > limit:
+            # nothing due: no-op advances (monitor syncs) skip the re-key
+            return
+        self._advancing = True
+        try:
+            while e <= limit:
+                self._process_at(e)
+                e = self._next_internal()
+        finally:
+            self._advancing = False
+        sched = self._sched
+        if sched is not None:
+            sched(self)
 
     def sync_to(self, t: float) -> None:
         if self._bank is not None:
             if t > self.local_time:
                 self.local_time = t
             return
-        self._advance_to(t)
+        self.advance_to(t)
         self._accrue_to(t)
         if t > self.local_time:
             self.local_time = t
@@ -126,70 +183,83 @@ class FCFSQueue(Agent):
     # internal event machinery
     # ------------------------------------------------------------------
     def _next_internal(self) -> float:
-        """Earliest pending internal event (absolute time), ``inf`` if none."""
-        nxt = _INF
-        for job in self.in_service:
-            fa = job.finish_at
-            if fa is not None and fa < nxt:
-                nxt = fa
-        if self.waiting and len(self.in_service) < self.servers:
-            due = self.waiting[0].not_before
-            if due < self._now:
-                due = self._now
-            if due < nxt:
-                nxt = due
-        return nxt
+        """Earliest pending internal event (absolute time), ``inf`` if none.
 
-    def _advance_to(self, t: float) -> None:
-        """Process every internal event up to ``t`` at its own timestamp."""
-        if self._advancing or self._paused:
-            return
-        self._advancing = True
-        processed = False
-        try:
-            while True:
-                e = self._next_internal()
-                if e > t + 1e-9:
-                    break
-                self._process_at(e)
-                processed = True
-        finally:
-            self._advancing = False
-        if processed:
-            # only a processed event can change the next-event time, so
-            # no-op advances (monitor syncs) skip the wake-heap re-key
-            self._reschedule()
+        Cached in ``_next``; the hot paths read the cache first and call
+        this only on a miss."""
+        nxt = self._next
+        if nxt is None:
+            nxt = _INF
+            for job in self.in_service:
+                fa = job.finish_at
+                if fa is not None and fa < nxt:
+                    nxt = fa
+            if self.waiting and len(self.in_service) < self.servers:
+                due = self.waiting[0].not_before
+                if due < self._now:
+                    due = self._now
+                if due < nxt:
+                    nxt = due
+            self._next = nxt
+        return nxt
 
     def _process_at(self, t: float) -> None:
         self._accrue_to(t)
-        done = [j for j in self.in_service
-                if j.finish_at is not None and j.finish_at <= t + 1e-12]
-        if done:
-            self.in_service = [j for j in self.in_service if j not in done]
-            met = self._metrics
-            for job in done:
-                self.completed_count += 1
-                job.finish_at = None
-                if met is not None:
-                    start = job.start_time if job.start_time is not None else t
-                    enq = job.enqueue_time if job.enqueue_time is not None \
-                        else start
-                    met.observe_completion(start - enq, t - start, t - enq)
-                job.finish(t)
-        self._admit_at(t)
+        ins = self.in_service
+        if ins:
+            lim = t + 1e-12
+            if len(ins) == 1:  # every single-server station
+                fa = ins[0].finish_at
+                done = ins if fa is not None and fa <= lim else None
+            else:
+                done = [j for j in ins
+                        if j.finish_at is not None and j.finish_at <= lim]
+            if done:
+                # every due job leaves service before any continuation runs
+                if len(done) == len(ins):
+                    self.in_service = []
+                else:
+                    for job in done:
+                        ins.remove(job)
+                self._next = None
+                n = len(done)
+                owner = self._depth_owner
+                while owner is not None:
+                    owner._depth -= n
+                    owner = owner._depth_owner
+                met = self._metrics
+                for job in done:
+                    self.completed_count += 1
+                    job.finish_at = None
+                    if met is not None:
+                        start = (job.start_time if job.start_time is not None
+                                 else t)
+                        enq = (job.enqueue_time
+                               if job.enqueue_time is not None else start)
+                        met.observe_completion(start - enq, t - start,
+                                               t - enq)
+                    job.finish(t)
+        if self.waiting:
+            self._admit_at(t)
         if t > self._now:
             self._now = t
+            self._next = None
 
     def _admit_at(self, t: float) -> None:
-        while self.waiting and len(self.in_service) < self.servers:
-            head = self.waiting[0]
+        """Start waiting jobs at ``t`` while servers are free and the
+        head's timestamp guard allows (arrivals and completions share it)."""
+        waiting = self.waiting
+        ins = self.in_service
+        while waiting and len(ins) < self.servers:
+            head = waiting[0]
             if head.not_before > t + 1e-9:
                 break  # timestamp guard: head may not start yet
-            self.waiting.popleft()
+            waiting.popleft()
             if head.start_time is None:
                 head.start_time = t
             head.finish_at = t + head.remaining / self.rate
-            self.in_service.append(head)
+            ins.append(head)
+            self._next = None
 
     def _accrue_to(self, t: float) -> None:
         if t <= self._busy_anchor:
@@ -220,6 +290,7 @@ class FCFSQueue(Agent):
                 job.finish_at = None
         if p > self._now:
             self._now = p
+        self._next = None
 
     def on_repair(self, now: float) -> None:
         """Resume interrupted service from ``now``."""
@@ -232,7 +303,8 @@ class FCFSQueue(Agent):
             self._busy_anchor = r
         for job in self.in_service:
             job.finish_at = r + job.remaining / self.rate
-        self._advance_to(r)
+        self._next = None
+        self.advance_to(r)
 
     def on_crash(self) -> None:
         """Crash semantics: in-service progress is lost; jobs restart."""
@@ -245,3 +317,4 @@ class FCFSQueue(Agent):
             job.finish_at = None
             self.waiting.appendleft(job)
         self.in_service = []
+        self._next = None

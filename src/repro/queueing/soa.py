@@ -306,6 +306,10 @@ class BatchedTier(Agent):
         if now > self._now:
             self._now = now
         station._bank_inflight += 1
+        owner = station._depth_owner
+        while owner is not None:
+            owner._depth += 1
+            owner = owner._depth_owner
         self._inflight += 1
         if station._paused:
             station._bank_frozen.append(job)
@@ -343,6 +347,10 @@ class BatchedTier(Agent):
 
     def _complete(self, station, job: Job, fin: float) -> None:
         station._bank_inflight -= 1
+        owner = station._depth_owner
+        while owner is not None:
+            owner._depth -= 1
+            owner = owner._depth_owner
         self._inflight -= 1
         station.completed_count += 1
         job.finish_at = None

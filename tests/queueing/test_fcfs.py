@@ -98,3 +98,139 @@ def test_next_event_time():
     assert q.next_event_time() == pytest.approx(0.5)
     q.fail(crash=False, now=0.1)
     assert q.next_event_time() == float("inf")
+
+
+# ----------------------------------------------------------------------
+# admission edge cases: an arrival at a free server is admitted in one
+# step; each case below must give the times and order of the general
+# event loop exactly (``==``, hand-computed)
+# ----------------------------------------------------------------------
+def _recorder(done, name):
+    return lambda j, t: done.append((name, t))
+
+
+def test_future_not_before_waits_for_its_time():
+    q = FCFSQueue("q", rate=4.0)
+    sim = Simulator()
+    sim.add_agent(q)
+    done = []
+    job = Job(2.0, on_complete=_recorder(done, "a"), not_before=1.0)
+    q.submit(job, 0.0)
+    assert list(q.waiting) == [job] and q.in_service == []
+    assert q.next_event_time() == 1.0
+    sim.run(2.0)
+    assert job.start_time == 1.0
+    assert done == [("a", 1.5)]  # 1.0 + 2.0 / 4.0
+
+
+def test_zero_and_sub_guard_demand_complete_inside_enqueue():
+    q = FCFSQueue("q", rate=1.0)
+    sim = Simulator()
+    sim.add_agent(q)
+    done = []
+    sub = Job(5e-10, on_complete=_recorder(done, "sub"))
+    zero = Job(0.0, on_complete=_recorder(done, "zero"))
+    seen = []
+
+    def arrive(now):
+        q.submit(sub, now)
+        seen.append(list(done))
+        q.submit(zero, now)
+        seen.append(list(done))
+
+    sim.schedule(2.0, arrive)
+    sim.run(3.0)
+    fin = 2.0 + 5e-10
+    # the sub-guard job finishes at its own time inside its submit; the
+    # zero-demand job then starts at the station clock (ahead of ``now``)
+    assert seen == [[("sub", fin)], [("sub", fin), ("zero", fin)]]
+    assert sub.start_time == 2.0 and zero.start_time == fin
+
+
+def test_sub_guard_pair_keeps_scalar_completion_order():
+    """The sub-guard lockstep counterexample, as the scalar kernel runs it:
+    both jobs complete at 1.18e-38 in arrival order."""
+    q = FCFSQueue("q", rate=1.0, servers=2)
+    sim = Simulator()
+    sim.add_agent(q)
+    done = []
+    d0 = 1.1754943508222875e-38
+    sim.schedule(0.0, lambda now: q.submit(
+        Job(d0, on_complete=_recorder(done, 0)), now))
+    sim.schedule(1.0464104858614766e-223, lambda now: q.submit(
+        Job(0.0, on_complete=_recorder(done, 1)), now))
+    sim.run(1.0)
+    assert done == [(0, d0), (1, d0)]
+
+
+def test_arrival_behind_the_station_clock_starts_at_the_clock():
+    q = FCFSQueue("q", rate=1.0)
+    sim = Simulator()
+    sim.add_agent(q)
+    done = []
+    first_fin = 1.0 + 4e-10
+    q.submit(Job(first_fin, on_complete=_recorder(done, "a")), 0.0)
+    late = Job(2.0, on_complete=_recorder(done, "b"))
+    # the boundary at 1.0 first advances the station through its
+    # completion at 1.0 + 4e-10 (inside the guard), then fires this
+    sim.schedule(1.0, lambda now: q.submit(late, now))
+    sim.run(4.0)
+    assert late.start_time == first_fin
+    assert done == [("a", first_fin), ("b", first_fin + 2.0)]
+
+
+def test_reentrant_enqueue_from_a_completion_continuation():
+    q = FCFSQueue("q", rate=2.0)
+    sim = Simulator()
+    sim.add_agent(q)
+    done = []
+    b = Job(3.0, on_complete=_recorder(done, "b"))
+    c = Job(1.0, on_complete=_recorder(done, "c"))
+
+    def a_done(job, t):
+        done.append(("a", t))
+        q.submit(b, t)
+        q.submit(c, t)
+        # inside the station's own event loop: both wait until it
+        # admits the head after this continuation returns
+        assert list(q.waiting) == [b, c] and q.in_service == []
+
+    q.submit(Job(1.0, on_complete=a_done), 0.0)
+    sim.run(5.0)
+    assert done == [("a", 0.5), ("b", 2.0), ("c", 2.5)]
+    assert (b.start_time, c.start_time) == (0.5, 2.0)
+
+
+@pytest.mark.parametrize("crash", [True, False])
+def test_directly_admitted_job_fails_and_restarts_like_the_general_path(crash):
+    """One job is admitted on arrival at an idle station, its twin by the
+    event loop (a not_before guard releasing it at the same instant);
+    both are failed and repaired together, take one more arrival while
+    failed, and must match exactly."""
+    direct = FCFSQueue("direct", rate=2.0)
+    looped = FCFSQueue("looped", rate=2.0)
+    sim = Simulator()
+    sim.add_agent(direct)
+    sim.add_agent(looped)
+    done = []
+    j1 = Job(4.0, on_complete=_recorder(done, "direct"))
+    j2 = Job(4.0, on_complete=_recorder(done, "looped"), not_before=1.0)
+    looped.submit(j2, 0.0)
+    sim.schedule(1.0, lambda now: direct.submit(j1, now))
+    for q in (direct, looped):
+        sim.schedule(2.0, lambda t, q=q: q.fail(crash=crash, now=t))
+        sim.schedule(3.0, lambda t, q=q: q.submit(
+            Job(2.0, on_complete=_recorder(done, q.name + "+")), t))
+        sim.schedule(5.0, lambda t, q=q: q.repair(t))
+    sim.run(10.0)
+    if crash:
+        # progress lost: the full demand restarts at the repair
+        start, fin, busy = 5.0, 7.0, 4.0
+    else:
+        # 2.0 units of work left at the pause resume at the repair
+        start, fin, busy = 1.0, 6.0, 3.0
+    # the arrival during the failure is served next: 2.0 / 2.0 seconds
+    assert sorted(done) == [("direct", fin), ("direct+", fin + 1.0),
+                            ("looped", fin), ("looped+", fin + 1.0)]
+    assert j1.start_time == j2.start_time == start
+    assert direct.busy_time == looped.busy_time == busy
