@@ -9,6 +9,8 @@ measured tier utilizations scale linearly back to the fluid predictions.
 
 from __future__ import annotations
 
+import zlib
+
 from repro.core import Simulator
 from repro.metrics import Collector
 from repro.software.cascade import CascadeRunner
@@ -40,7 +42,8 @@ def _des_peak_utilizations(study):
                 WorkloadCurve([peak_pop] * 24), app.mix, app.operations,
                 ops_per_client_hour=app.ops_per_client_hour,
                 application=app.name, scale=SCALE,
-                seed=hash((app.name, dc_name)) % 10000,
+                # crc32, not hash(): str hashes vary per process
+                seed=zlib.crc32(f"{app.name}/{dc_name}".encode()) % 10000,
             )
             wl.start(until=WINDOW)
 

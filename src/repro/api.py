@@ -110,7 +110,12 @@ class ParallelOptions:
     :func:`repro.parallel.partition.partition_topology`; ``window``
     optionally narrows the synchronization window below the lookahead
     (it can never exceed it).  ``workers <= 1`` falls back to the
-    single-process engine.
+    single-process engine.  The lookahead counts only data centers
+    that can receive: when no shard registers a
+    ``session.remote.on_message`` handler, nothing can cross the cut,
+    and the run is one window at the horizon with no barrier (each
+    worker still steps ``window``-sized local windows, where it sends
+    its heartbeats).
 
     The supervisor knobs configure the live run supervisor
     (:mod:`repro.parallel.supervisor`): workers heartbeat every
@@ -238,7 +243,9 @@ class RemotePort:
 
     * ``on_message(dc_name, handler)`` registers the destination-side
       delivery (``handler(payload, now)``) — guard it with
-      ``session.owns(dc_name)`` so only the owning shard handles it;
+      ``session.owns(dc_name)`` so only the owning shard handles it,
+      and call it from the setup hook: a sharded run fixes its
+      receivers, and so its lookahead, right after setup;
     * ``send(src_dc, dst_dc, payload, latency_s)`` delivers ``payload``
       (picklable data only) after ``latency_s`` of simulated time.
 
@@ -261,12 +268,16 @@ class RemotePort:
                    handler: Callable[[Any, float], None]) -> None:
         self._handlers[dc_name] = handler
 
+    @staticmethod
+    def _unhandled(dst_dc: str) -> ConfigurationError:
+        return ConfigurationError(
+            f"no remote handler registered for data center "
+            f"{dst_dc!r} (call session.remote.on_message first)")
+
     def _deliver(self, dst_dc: str, payload: Any, now: float) -> None:
         handler = self._handlers.get(dst_dc)
         if handler is None:
-            raise ConfigurationError(
-                f"no remote handler registered for data center "
-                f"{dst_dc!r} (call session.remote.on_message first)")
+            raise self._unhandled(dst_dc)
         handler(payload, now)
 
     def send(self, src_dc: str, dst_dc: str, payload: Any,

@@ -358,18 +358,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if not r.identical:
                 print(f"  mismatched: {', '.join(r.mismatches)}")
                 code = 1
-        sharded = check_sharded(
-            n_regions=2 if args.quick else 4,
-            until=6.0 if args.quick else 10.0,
-            kernel=args.kernel,
-        )
-        document["parity_sharded"] = sharded.to_row()
-        verdict = "ok" if sharded.identical else "FAIL"
-        print(f"parity {sharded.scenario:<24} until={sharded.until:g} "
-              f"sharded==single-process: {verdict}")
-        if not sharded.identical:
-            print(f"  mismatched: {', '.join(sharded.mismatches)}")
-            code = 1
+        for remote, key in ((True, "parity_sharded"),
+                            (False, "parity_sharded_no_receivers")):
+            sharded = check_sharded(
+                n_regions=2 if args.quick else 4,
+                until=6.0 if args.quick else 10.0,
+                kernel=args.kernel, remote=remote,
+            )
+            document[key] = sharded.to_row()
+            verdict = "ok" if sharded.identical else "FAIL"
+            print(f"parity {sharded.scenario:<24} until={sharded.until:g} "
+                  f"sharded==single-process: {verdict}")
+            if not sharded.identical:
+                print(f"  mismatched: {', '.join(sharded.mismatches)}")
+                code = 1
     if args.invariants:
         from repro.api import Collect, simulate
         from repro.core.errors import InvariantViolation

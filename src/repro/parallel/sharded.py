@@ -12,6 +12,14 @@ interaction-timestamp guard).  Cross-shard traffic sent through
 :class:`_ShardPort`) over multiprocessing queues at window
 boundaries.
 
+The lookahead counts only paths that can carry a message (the
+Chandy–Misra–Bryant idea at barrier granularity).  After setup, one
+handshake round trip gives every shard the union of the data centers
+with an ``on_message`` handler.  If that union is empty, no envelope
+can be delivered: the lookahead is infinite, the coordinator runs no
+barrier loop and commits one window at the horizon, and the workers
+step their local windows without waiting on it.
+
 Equivalence with the single-process engine rests on three facts:
 
 * ``sim.run_windowed(until, window)`` is bit-exact against one
@@ -52,7 +60,7 @@ import os
 import queue as _queue
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api import (
     Collect,
@@ -75,7 +83,9 @@ from repro.parallel.partition import PartitionPlan, partition_topology
 from repro.parallel.supervisor import RunSupervisor, rss_kb
 
 #: Seconds the coordinator waits on a worker queue before declaring the
-#: fleet wedged (workers are daemonic, so nothing leaks on failure).
+#: fleet wedged (workers are daemonic, so nothing leaks on failure).  A
+#: run without barriers waits for its results as long as the workers
+#: live: its whole horizon is one window.
 _RECV_TIMEOUT_S = 600.0
 
 
@@ -85,7 +95,9 @@ class ParallelReport:
 
     workers: int
     cut: str
+    #: The committed window: the horizon when no shard can receive.
     window: float
+    #: The effective lookahead: ``inf`` when no shard can receive.
     lookahead: float
     shards: Tuple[Tuple[str, ...], ...]
     windows_run: int
@@ -141,6 +153,13 @@ class _ShardPort(RemotePort):
     rides each envelope as its 7th element, and sampled hops are
     recorded in :attr:`trace_hops` for the Chrome exporter's flow
     events.
+
+    Before the first window the coordinator fixes the fleet's
+    receivers (:meth:`seal`): the data centers some shard registered
+    an ``on_message`` handler for.  From then on a send to any other
+    foreign data center fails at send time, and registering a handler
+    is refused, because the coordinator has already sized the
+    lookahead by the receivers it knows.
     """
 
     def __init__(self, window: float,
@@ -151,6 +170,29 @@ class _ShardPort(RemotePort):
         self.outbox: List[Tuple] = []
         self.trace_hops: List[Dict[str, Any]] = []
         self._seq = 0
+        #: The fleet's receiving data centers; None until :meth:`seal`.
+        self._receivers: Optional[frozenset] = None
+
+    def receivers(self) -> List[str]:
+        """This shard's data centers with an ``on_message`` handler."""
+        assert self._session is not None, "port used before bind()"
+        return sorted(dc for dc in self._handlers if self._session.owns(dc))
+
+    def seal(self, receivers: List[str]) -> None:
+        """Fix the fleet's receivers and check the sends made so far."""
+        self._receivers = frozenset(receivers)
+        for env in self.outbox:
+            if env[1] not in self._receivers:
+                raise self._unhandled(env[1])
+
+    def on_message(self, dc_name: str,
+                   handler: Callable[[Any, float], None]) -> None:
+        if self._receivers is not None:
+            raise ConfigurationError(
+                f"on_message({dc_name!r}) called after the sharded run "
+                f"fixed its receivers; register remote handlers in the "
+                f"scenario's setup hook")
+        super().on_message(dc_name, handler)
 
     def send(self, src_dc: str, dst_dc: str, payload: Any,
              latency_s: float, now: Optional[float] = None) -> None:
@@ -158,6 +200,8 @@ class _ShardPort(RemotePort):
         if self._session.owns(dst_dc):
             super().send(src_dc, dst_dc, payload, latency_s, now=now)
             return
+        if self._receivers is not None and dst_dc not in self._receivers:
+            raise self._unhandled(dst_dc)
         if latency_s < self._window - 1e-9:
             raise SimulationError(
                 f"remote send {src_dc}->{dst_dc} declares "
@@ -241,6 +285,10 @@ def _shard_worker(idx: int, scenario: Scenario, plan: PartitionPlan,
             resilience=cfg["resilience"], metrics=cfg["metrics"],
             slo=cfg["slo"], shard=plan.shards[idx], remote=port,
         )
+        # handshake: report this shard's receivers, learn the fleet's
+        outbox.put(port.receivers())
+        receivers = inbox.get()
+        port.seal(receivers)
         if cfg["workloads"]:
             session._workloads_started = True
             session._start_workloads(until)
@@ -259,25 +307,29 @@ def _shard_worker(idx: int, scenario: Scenario, plan: PartitionPlan,
         mark = [0.0]
 
         def exchange(_t0: float, t1: float) -> None:
-            enter = time.perf_counter()
+            enter = done = time.perf_counter()
             phases["window_advance"] += enter - mark[0]
-            outbox.put(list(port.outbox))
-            port.outbox.clear()
-            sent_at = time.perf_counter()
-            incoming = inbox.get()
-            got_at = time.perf_counter()
-            phases["barrier_wait"] += got_at - sent_at
-            # deterministic delivery: envelopes from all shards are
-            # replayed in (arrival, send, src, seq) order
-            for env in sorted(incoming,
-                              key=lambda e: (e[3], e[2], e[0], e[5])):
-                session.sim.schedule(
-                    env[3],
-                    _delivery(port, recorder, env[1], env[4],
-                              env[6] if len(env) > 6 else None),
-                )
-            done = time.perf_counter()
-            phases["envelope_exchange"] += (sent_at - enter) + (done - got_at)
+            # with no receivers anywhere nothing can cross the cut, and
+            # the coordinator runs no barrier: window ends stay local
+            if receivers:
+                outbox.put(list(port.outbox))
+                port.outbox.clear()
+                sent_at = time.perf_counter()
+                incoming = inbox.get()
+                got_at = time.perf_counter()
+                phases["barrier_wait"] += got_at - sent_at
+                # deterministic delivery: envelopes from all shards are
+                # replayed in (arrival, send, src, seq) order
+                for env in sorted(incoming,
+                                  key=lambda e: (e[3], e[2], e[0], e[5])):
+                    session.sim.schedule(
+                        env[3],
+                        _delivery(port, recorder, env[1], env[4],
+                                  env[6] if len(env) > 6 else None),
+                    )
+                done = time.perf_counter()
+                phases["envelope_exchange"] += ((sent_at - enter)
+                                                + (done - got_at))
             if heartbeats is not None and hb_every > 0 \
                     and done - hb_last[0] >= hb_every:
                 hb_last[0] = done
@@ -411,9 +463,13 @@ def _check_failures(results, procs, stash: List[Any],
 
 
 def _recv(q, results, procs, stash: List[Any], what: str,
-          supervisor: Optional[RunSupervisor] = None):
-    """Blocking queue read that still notices a dead/failed worker."""
-    deadline = time.monotonic() + _RECV_TIMEOUT_S
+          supervisor: Optional[RunSupervisor] = None,
+          bounded: bool = True):
+    """Blocking queue read that still notices a dead/failed worker.
+
+    ``bounded`` reads give up after :data:`_RECV_TIMEOUT_S`."""
+    deadline = (time.monotonic() + _RECV_TIMEOUT_S if bounded
+                else float("inf"))
     while True:
         try:
             return q.get(timeout=0.25)
@@ -546,9 +602,23 @@ def run_sharded(
                     f"under the {start_method!r} start method (is every "
                     f"setup hook/placement picklable?): {exc}") from exc
             supervisor.note_started(i)
+        # handshake: the fleet's receivers are the union of every
+        # shard's on_message data centers.  With none, no envelope can
+        # ever be delivered, so the lookahead is infinite and the run
+        # is one window at the horizon, committed without a barrier
+        fleet_receivers = set()
+        for i in range(plan.workers):
+            fleet_receivers.update(_recv(outboxes[i], results, procs, stash,
+                                         f"shard {i} receivers", supervisor))
+        for q in inboxes:
+            q.put(sorted(fleet_receivers))
+        lookahead = plan.lookahead
+        if not fleet_receivers:
+            lookahead, window = float("inf"), until
+            supervisor.note_collapsed()
         # the coordinator mirrors the workers' window arithmetic exactly
         t, windows_run = 0.0, 0
-        while t < until - 1e-9:
+        while fleet_receivers and t < until - 1e-9:
             window_end = min(t + window, until)
             pending: List[List[tuple]] = [[] for _ in plan.shards]
             for i in range(plan.workers):
@@ -561,8 +631,6 @@ def run_sharded(
                             f"envelope {src}->{dst} declares "
                             f"{arrival - sent_at:.4f}s latency, below "
                             f"the {window:.4f}s window")
-                    if dst not in shard_of:
-                        raise KeyError(f"unknown data center {dst!r}")
                     pending[shard_of[dst]].append(env)
                     envelopes += 1
             for i in range(plan.workers):
@@ -579,10 +647,13 @@ def run_sharded(
             if len(payloads) >= plan.workers:
                 break
             msg = _recv(results, results, procs, stash, "shard results",
-                        supervisor)
+                        supervisor, bounded=bool(fleet_receivers))
             if msg[0] == "error":
                 raise _worker_error(msg[1], msg[2], supervisor)
             payloads[msg[1]["idx"]] = msg[1]
+        if not fleet_receivers:
+            windows_run = 1
+            supervisor.note_window(until)
         for idx in range(plan.workers):
             supervisor.note_finished(
                 idx, now=payloads[idx]["now"],
@@ -653,7 +724,7 @@ def run_sharded(
         workers=plan.workers,
         cut=plan.cut,
         window=window,
-        lookahead=plan.lookahead,
+        lookahead=lookahead,
         shards=plan.shards,
         windows_run=windows_run,
         fingerprint=combined,

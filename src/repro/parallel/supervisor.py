@@ -109,6 +109,8 @@ class RunSupervisor:
         self.clock = clock
         self.events = EventLog()
         self.windows_run = 0
+        #: True once the run is known to need no window barrier.
+        self.collapsed = False
         self.state = "starting"
         self.started_wall = time.time()
         self.shards = [ShardProgress(i, tuple(dcs))
@@ -144,6 +146,18 @@ class RunSupervisor:
                     prog.state = "running"
         self.events.emit("window_committed", window_end,
                          window=self.windows_run)
+        self.write_status()
+
+    def note_collapsed(self) -> None:
+        """No shard can receive an envelope: the run is one window.
+
+        No barrier commits intermediate windows, so a shard's progress
+        shows only through its heartbeats.  Without heartbeats there is
+        no signal to read a stall from, and :meth:`check_stalls` leaves
+        the run alone.
+        """
+        self.collapsed = True
+        self.window = self.until
         self.write_status()
 
     def note_finished(self, shard: int, *, now: float, records: int) -> None:
@@ -207,6 +221,8 @@ class RunSupervisor:
     def check_stalls(self, now: float) -> None:
         """Flag (or abort on) shards whose watermark stopped advancing."""
         if self.stall_timeout is None or self.stall_timeout <= 0:
+            return
+        if self.collapsed and self.heartbeats is None:
             return
         for prog in self.shards:
             if prog.state != "running" or prog.last_advance <= 0.0:

@@ -15,6 +15,8 @@ cross-shard ``RemotePort`` traffic runs single-process and with
 per-agent telemetry, time-integrated floats (``busy_time``) included.
 A windowed run drains its agents only once, at the horizon, so its
 busy-time sums add in the same order as a single uninterrupted run's.
+A second case runs the plain fleet, which registers no remote handler:
+it must match just as exactly and run as one barrier-free window.
 """
 
 from __future__ import annotations
@@ -273,31 +275,39 @@ def check_sharded(
     seed: int = 42,
     sample_interval: float = 2.0,
     kernel: str = "scalar",
+    remote: bool = True,
 ) -> ParityResult:
     """Diff the sharded backend against a single-process run.
 
     Records, sampled series, metric fingerprint lines and per-agent
     telemetry (busy-time floats included) must be exactly equal: each
     shard's windowed run is bit-exact against an uninterrupted one
-    (:meth:`~repro.core.engine.Simulator.run_windowed`).  The check also
-    requires that cross-shard envelopes actually flowed, so a cut that
-    silently localized the traffic cannot pass vacuously.
+    (:meth:`~repro.core.engine.Simulator.run_windowed`).
 
-    Both runs are armed with full tracing and profiling: the merged
-    sharded trace must reproduce the single-process span and cascade
-    sets byte-identically after :func:`~repro.observability.trace.
-    canonical_spans` renumbering (cross-shard cascades keep one id and
-    their parent/child links), at least one cross-shard trace flow must
-    have been recorded, and the sharded result must carry a merged
-    profile.
+    With ``remote`` (the default) the fleet carries cross-shard
+    ``session.remote`` traffic, and the check also requires that
+    envelopes actually flowed, so a cut that silently localized the
+    traffic cannot pass vacuously.  Both runs are armed with full
+    tracing and profiling: the merged sharded trace must reproduce the
+    single-process span and cascade sets byte-identically after
+    :func:`~repro.observability.trace.canonical_spans` renumbering
+    (cross-shard cascades keep one id and their parent/child links), at
+    least one cross-shard trace flow must have been recorded, and the
+    sharded result must carry a merged profile.
+
+    Without ``remote`` the plain fleet registers no remote handler, so
+    no shard can receive: the sharded run must then be one window at
+    the horizon, with no barrier.
     """
     from repro.observability.trace import canonical_spans
+    from repro.studies.fleet import fleet_scenario
 
+    build = sharded_fleet_scenario if remote else fleet_scenario
     outputs = {}
     reports = {}
     traces = {}
     for label in ("single", "sharded"):
-        scenario = sharded_fleet_scenario(n_regions, seed=seed)
+        scenario = build(n_regions, seed=seed)
         result = simulate(
             scenario, until=until, kernel=kernel,
             collect=Collect(sample_interval=sample_interval),
@@ -333,11 +343,18 @@ def check_sharded(
                        ("cascades", single[5], sharded[5])):
         if a != b:
             mismatches.append(name)
-    if not single[4]:
+    if remote and not single[4]:
         mismatches.append("no-spans-recorded")
     report = reports["sharded"]
     if report is None or report.workers != workers:
         mismatches.append("backend-not-sharded")
+    elif not remote:
+        # the plain fleet's legs run below the cascade layer, so its
+        # records are empty and the telemetry carries the comparison
+        if not any(t.arrivals for t in single[3].values()):
+            mismatches.append("no-agent-arrivals")
+        if report.windows_run != 1:
+            mismatches.append("barrier-windows-without-receivers")
     elif workers > 1:
         if report.envelopes == 0:
             mismatches.append("no-cross-shard-envelopes")
@@ -347,7 +364,7 @@ def check_sharded(
                 traces["sharded"].profile, "per_shard", None):
             mismatches.append("no-merged-profile")
     return ParityResult(
-        scenario=(f"consolidation-fleet-remote[w={workers},cut={cut}"
+        scenario=(f"{scenario.name}[w={workers},cut={cut}"
                   + (f",kernel={kernel}" if kernel != "scalar" else "")
                   + "]"),
         until=until,

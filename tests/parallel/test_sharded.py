@@ -218,6 +218,13 @@ def test_sharded_run_matches_single_process():
     assert result.identical, result.mismatches
 
 
+def test_sharded_run_without_receivers_matches_single_process():
+    from repro.verification.parity import check_sharded
+
+    result = check_sharded(n_regions=2, until=5.0, workers=2, remote=False)
+    assert result.identical, result.mismatches
+
+
 @pytest.mark.slow
 def test_sharded_merges_metrics_and_telemetry():
     result = simulate(
@@ -236,9 +243,44 @@ def test_sharded_merges_metrics_and_telemetry():
     assert result.telemetry() == single.telemetry()
     report = result.parallel
     assert report.workers == 2
-    assert report.windows_run == 50  # 4.0s / 0.08s lookahead
+    # no shard registers a remote handler, so nothing can cross the cut:
+    # the run commits one window at the horizon and never waits
+    assert report.windows_run == 1
+    assert report.window == 4.0
+    assert all(p["barrier_wait"] == 0.0 for p in report.shard_phases)
     assert len(report.shard_walls) == 2
     assert report.fingerprint
+
+
+def _slow_window_setup(session):
+    import time
+
+    from repro.studies.fleet import fleet_setup
+
+    fleet_setup(session)
+    session.sim.schedule(1.0, lambda now: time.sleep(1.5))
+
+
+def test_run_without_barriers_outlasts_the_receive_timeout(monkeypatch):
+    """The wedge timeout bounds one barrier wait; a run without
+    barriers waits for its results as long as its workers live."""
+    import repro.parallel.sharded as sharded
+
+    monkeypatch.setattr(sharded, "_RECV_TIMEOUT_S", 0.5)
+    sc = fleet_scenario(2)
+    sc = type(sc)(**{**sc.__dict__, "setup": _slow_window_setup})
+    result = simulate(sc, until=2.0, parallel=ParallelOptions(workers=2))
+    assert result.parallel.windows_run == 1
+
+
+def test_sharded_run_with_receivers_keeps_lookahead_windows():
+    from repro.verification.parity import sharded_fleet_scenario
+
+    report = simulate(sharded_fleet_scenario(2), until=4.0,
+                      parallel=ParallelOptions(workers=2)).parallel
+    assert report.windows_run == 50  # 4.0s / 0.08s lookahead
+    assert report.lookahead == pytest.approx(REGION_LATENCY_S)
+    assert report.envelopes > 0
 
 
 def test_windowed_shard_records_one_engine_run():
@@ -415,3 +457,60 @@ def test_remote_send_below_window_is_rejected():
         simulate(sc, until=3.0, parallel=ParallelOptions(workers=2))
     assert "DNA" in err.value.dcs
     assert "synchronization window" in err.value.details
+
+
+def _send_to_foreign(session, now):
+    if session.owns("DNA"):
+        session.remote.send("DNA", "R00", {}, latency_s=REGION_LATENCY_S,
+                            now=now)
+
+
+def _setup_send_in_setup(session):
+    from repro.studies.fleet import fleet_setup
+
+    fleet_setup(session)
+    _send_to_foreign(session, 0.0)
+
+
+def _setup_send_mid_run(session):
+    from repro.studies.fleet import fleet_setup
+
+    fleet_setup(session)
+    session.sim.schedule(0.5, lambda now: _send_to_foreign(session, now))
+
+
+@pytest.mark.parametrize("setup", [_setup_send_in_setup,
+                                   _setup_send_mid_run])
+def test_send_to_data_center_without_handler_fails_at_send(setup):
+    """With no receiver registered anywhere, a cross-shard send fails on
+    the sending shard with the single-process delivery error."""
+    from repro.core.errors import WorkerError
+
+    sc = fleet_scenario(2)
+    sc = type(sc)(**{**sc.__dict__, "setup": setup})
+    with pytest.raises(WorkerError) as err:
+        simulate(sc, until=2.0, parallel=ParallelOptions(workers=2))
+    assert "DNA" in err.value.dcs
+    assert ("no remote handler registered for data center 'R00'"
+            in err.value.details)
+
+
+def _late_handler_setup(session):
+    from repro.studies.fleet import fleet_setup
+
+    fleet_setup(session)
+    if session.owns("R00"):
+        session.sim.schedule(0.5, lambda now: session.remote.on_message(
+            "R00", lambda payload, t: None))
+
+
+def test_handler_registered_after_handshake_is_refused():
+    from repro.core.errors import WorkerError
+
+    sc = fleet_scenario(2)
+    sc = type(sc)(**{**sc.__dict__, "setup": _late_handler_setup})
+    with pytest.raises(WorkerError) as err:
+        simulate(sc, until=2.0, parallel=ParallelOptions(workers=2))
+    assert "R00" in err.value.dcs
+    assert "on_message('R00')" in err.value.details
+    assert "setup hook" in err.value.details

@@ -1,6 +1,7 @@
 """Unit tests for the live run supervisor (heartbeats, stalls, status)."""
 
 import json
+import queue
 
 import pytest
 
@@ -81,6 +82,54 @@ def test_stall_abort_raises_worker_stalled():
     assert err.value.shard == 0
     assert err.value.dcs == ("DNA",)
     assert sup.state == "error"
+
+
+class FakeHeartbeats:
+    """A heartbeat sideband the test fills by hand."""
+
+    def __init__(self) -> None:
+        self.frames = []
+
+    def get_nowait(self):
+        if not self.frames:
+            raise queue.Empty
+        return self.frames.pop(0)
+
+
+def test_collapsed_run_advances_through_heartbeats():
+    """A run with no barrier still shows progress, and still stalls,
+    through the heartbeats sent at its local window ends."""
+    beats = FakeHeartbeats()
+    sup, clock = _supervisor(stall_timeout=30.0, heartbeats=beats)
+    sup.note_started(0)
+    sup.note_started(1)
+    sup.note_collapsed()
+    assert sup.progress()["window"] == 10.0
+    clock.t += 20.0
+    beats.frames = [{"shard": 0, "watermark": 4.0},
+                    {"shard": 1, "watermark": 3.2}]
+    sup.poll()
+    assert [p.watermark for p in sup.shards] == [4.0, 3.2]
+    clock.t += 29.0
+    sup.poll()
+    assert all(p.state == "running" for p in sup.shards)
+    beats.frames = [{"shard": 0, "watermark": 8.0}]
+    clock.t += 2.0
+    sup.poll()
+    assert [p.state for p in sup.shards] == ["running", "stalled"]
+
+
+def test_collapsed_run_without_heartbeats_never_stalls():
+    """With heartbeats off a collapsed run has no progress signal, so a
+    long run must not be mistaken for a stall."""
+    sup, clock = _supervisor(stall_timeout=30.0, on_stall="abort")
+    sup.note_started(0)
+    sup.note_started(1)
+    sup.note_collapsed()
+    clock.t += 3600.0
+    sup.poll()
+    assert all(p.state == "running" for p in sup.shards)
+    assert sup.events.events("worker_stalled") == []
 
 
 def test_stalls_only_flagged_once():
