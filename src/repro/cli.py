@@ -347,7 +347,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not outcome.passed:
             code = 1
     if args.parity:
-        from repro.verification import check_sharded, check_windows
+        from repro.verification import (
+            check_sharded,
+            check_storage,
+            check_windows,
+        )
 
         results = check_windows(kernel=args.kernel)
         document["parity"] = [r.to_row() for r in results]
@@ -372,6 +376,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if not sharded.identical:
                 print(f"  mismatched: {', '.join(sharded.mismatches)}")
                 code = 1
+        storage = check_storage(n_regions=2 if args.quick else 4,
+                                until=6.0 if args.quick else 10.0,
+                                kernel=args.kernel)
+        document["parity_storage"] = storage.to_row()
+        verdict = "ok" if storage.identical else "FAIL"
+        print(f"parity {storage.scenario:<24} until={storage.until:g} "
+              f"closed-form==reference storage: {verdict}")
+        if not storage.identical:
+            print(f"  mismatched: {', '.join(storage.mismatches[:5])}")
+            code = 1
     if args.invariants:
         from repro.api import Collect, simulate
         from repro.core.errors import InvariantViolation
@@ -584,7 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity", action="store_true",
                    help="also check event==adaptive parity on sampled "
                         "scenario windows, plus sharded==single-process "
-                        "parity on a consolidation-fleet window")
+                        "parity on a consolidation-fleet window, "
+                        "and closed-form storage against the "
+                        "event-by-event reference path")
     p.add_argument("--invariants", action="store_true",
                    help="also run the consolidation slice with the "
                         "strict runtime invariant checker armed")

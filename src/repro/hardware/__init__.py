@@ -16,6 +16,9 @@ queueing substrate:
   cache (Fig 3-7).
 * :class:`SAN` — fiber-channel switch, array controller cache and
   arbitrated loop in front of the fork-join (Fig 3-8).
+
+Disk, RAID and SAN schedule each request's stage chain in closed form at
+admission (:mod:`repro.hardware.storage`).
 """
 
 from repro.hardware.cpu import CPU, TimeSharedCPU

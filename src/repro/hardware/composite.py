@@ -1,14 +1,14 @@
 """Shared exact-event plumbing for composite hardware agents.
 
-CPU, Disk, RAID and SAN are built from internal sub-agents (socket
-queues, cache/drive stages, member disks).  Under the event kernel the
-composite satisfies the exact-event contract by aggregation over its
-leaf FCFS stations: its next event is the earliest station event,
-``advance_to`` forwards to the stations that are due, and a station's
-reschedule reaches the composite in one call, so the engine re-keys the
-composite's wake-heap entry whenever any stage's earliest completion
-changes.  Both operations touch only the stations that changed or are
-due, never every station.
+A CPU is built from internal FCFS socket queues (and the reference
+storage path of :mod:`repro.verification.storage` from its stages).
+Under the event kernel the composite satisfies the exact-event contract
+by aggregation over its leaf FCFS stations: its next event is the
+earliest station event, ``advance_to`` forwards to the stations that
+are due, and a station's reschedule reaches the composite in one call,
+so the engine re-keys the composite's wake-heap entry whenever any
+stage's earliest completion changes.  Both operations touch only the
+stations that changed or are due, never every station.
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ class CompositeAgent(Agent):
     # the size CPython keeps compact, costing memory and attribute access
     __slots__ = ("_children", "_depth_owner", "_passing", "_stations",
                  "_child_next", "_depth", "_due", "_agg_next")
-
-    # set by the vector kernel (repro.queueing.soa.vectorize_agents) on
-    # SAN/RAID composites: the VectorArray owns event scheduling and the
-    # composite's failure hooks forward to it
-    _varray = None
 
     def _child_agents(self) -> Iterable[Agent]:
         raise NotImplementedError
@@ -98,8 +93,6 @@ class CompositeAgent(Agent):
         self._agg_next = _INF
 
     def queue_length(self) -> int:
-        if self._varray is not None:
-            return self._varray.queue_length()
         return self._depth
 
     def _child_resched(self, station: Agent) -> None:
@@ -207,8 +200,6 @@ class CompositeAgent(Agent):
         self._paused_children = running
         for child in running:
             child.fail(crash=False, now=now)
-        if self._varray is not None and not self._varray.paused:
-            self._varray.fail(crash=False, now=now)
 
     def on_repair(self, now: float) -> None:
         children = getattr(self, "_paused_children", None)
@@ -217,5 +208,3 @@ class CompositeAgent(Agent):
         for child in children:
             child.repair(now)
         self._paused_children = []
-        if self._varray is not None and self._varray.paused:
-            self._varray.repair(now)

@@ -1,22 +1,92 @@
-"""Disk agent: controller cache queue followed by the drive queue.
+"""Disk agents: controller cache queue followed by the drive queue.
 
 Each disk is a sequence of two queues (section 3.4.2): ``Qdcc`` (the disk
 controller cache, served at the controller speed) and ``Qhdd`` (the
 mechanical drive, served at the sustained drive speed).  A controller
 cache hit bypasses the drive queue.
+
+A bare :class:`Disk` schedules its requests in closed form
+(:class:`~repro.hardware.storage.StripedStorage` with itself as its one
+lane and no front stages).  A RAID or SAN member is a
+:class:`MemberDisk`: a passive lane its array plans, whose own failures
+re-plan that lane.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict
+from typing import Dict, List
 
-from repro.core.job import Job
-from repro.hardware.composite import CompositeAgent
-from repro.queueing.fcfs import FCFSQueue
+from repro.core.agent import Agent
+from repro.hardware.storage import Stage, StripedStorage
 
 
-class Disk(CompositeAgent):
+class _Drive(Agent):
+    """What every disk has: its two stages, its cache-hit stream and
+    counters, and its telemetry.  ``_array`` is the schedule that plans
+    the stages (the disk itself, or the array it is a member of)."""
+
+    agent_type = "disk"
+
+    def _build(self, name: str, controller_bps: float, drive_bps: float,
+               cache_hit_rate: float, seed: int | None) -> None:
+        super().__init__(name)
+        if not 0.0 <= cache_hit_rate <= 1.0:
+            raise ValueError("cache hit rate must be in [0, 1]")
+        self.dcc = Stage(f"{name}.dcc", rate=controller_bps, servers=1)
+        self.hdd = Stage(f"{name}.hdd", rate=drive_bps, servers=1)
+        self.cache_hit_rate = float(cache_hit_rate)
+        self._rng = random.Random(seed)
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.completed_count = 0
+
+    # the schedule credits the lane's cache draws lazily: reading settles
+    @property
+    def cache_hits(self) -> int:
+        self._array._flush_draws()
+        return self._cache_hits
+
+    @cache_hits.setter
+    def cache_hits(self, value: int) -> None:
+        self._cache_hits = value
+
+    @property
+    def cache_misses(self) -> int:
+        self._array._flush_draws()
+        return self._cache_misses
+
+    @cache_misses.setter
+    def cache_misses(self, value: int) -> None:
+        self._cache_misses = value
+
+    def capacity(self) -> float:
+        return 1.0  # utilization is normalized to the bottleneck drive
+
+    def _completions(self) -> int:
+        return self.completed_count
+
+    def _telemetry_extras(self) -> Dict[str, float]:
+        return {
+            "cache_hits": float(self.cache_hits),
+            "cache_misses": float(self.cache_misses),
+            "hdd_busy_s": self.hdd.busy_time,
+        }
+
+    def sample(self, now: float) -> Dict[str, float]:
+        self._array._settled()
+        window = max(now - self._window_start, 1e-12)
+        busy = self.hdd._window_busy  # drive is the bottleneck resource
+        self.dcc._window_busy = 0.0
+        self.hdd._window_busy = 0.0
+        self._window_start = now
+        return {
+            "utilization": min(busy / window, 1.0),
+            "queue_length": float(self.queue_length()),
+        }
+
+
+class Disk(_Drive, StripedStorage):
     """Two-stage disk: controller cache then drive, with hit bypass.
 
     Parameters
@@ -29,8 +99,6 @@ class Disk(CompositeAgent):
         Probability a request is served entirely by the controller cache.
     """
 
-    agent_type = "disk"
-
     def __init__(
         self,
         name: str,
@@ -39,77 +107,61 @@ class Disk(CompositeAgent):
         cache_hit_rate: float = 0.0,
         seed: int | None = None,
     ) -> None:
-        super().__init__(name)
-        if not 0.0 <= cache_hit_rate <= 1.0:
-            raise ValueError("cache hit rate must be in [0, 1]")
-        self.dcc = FCFSQueue(f"{name}.dcc", rate=controller_bps, servers=1)
-        self.hdd = FCFSQueue(f"{name}.hdd", rate=drive_bps, servers=1)
-        self.cache_hit_rate = float(cache_hit_rate)
-        self._rng = random.Random(seed)
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.completed_count = 0
-        self._adopt_children()
+        self._build(name, controller_bps, drive_bps, cache_hit_rate, seed)
+        self._array = self
+        self._init_schedule((), (self,), None)
 
-    def _child_agents(self):
-        return (self.dcc, self.hdd)
 
-    # ------------------------------------------------------------------
-    def _complete(self, job: Job, t: float) -> None:
-        self.completed_count += 1
-        job.finish(t)
+class MemberDisk(_Drive):
+    """Member ``lane`` of a RAID or SAN ``array``: the array plans its
+    stripes, so the member holds only counters and forwards its failures
+    to the array, which freezes and re-plans this lane."""
 
-    def enqueue(self, job: Job, now: float) -> None:
-        hit = self._rng.random() < self.cache_hit_rate
-        if hit:
-            self.cache_hits += 1
-        else:
-            self.cache_misses += 1
+    def __init__(self, array: StripedStorage, lane: int, name: str,
+                 controller_bps: float, drive_bps: float,
+                 cache_hit_rate: float, seed: int | None) -> None:
+        self._array = array
+        self._build(name, controller_bps, drive_bps, cache_hit_rate, seed)
+        self._lane = lane
+        #: this lane's stages its own failure stopped
+        self._lane_paused: List[int] = []
 
-        def dcc_done(_sub: Job, t: float) -> None:
-            if hit:
-                self._complete(job, t)
-            else:
-                self.hdd.submit(
-                    Job(job.demand,
-                        on_complete=lambda _s, t2: self._complete(job, t2),
-                        not_before=t, tag=job.tag),
-                    t,
-                )
+    # stripe completions are credited when the array settles
+    @property
+    def completed_count(self) -> int:
+        self._array._settled()
+        return self._completed
 
-        self.dcc.submit(
-            Job(job.demand, on_complete=dcc_done, not_before=job.not_before,
-                tag=job.tag),
-            now,
-        )
+    @completed_count.setter
+    def completed_count(self, value: int) -> None:
+        self._completed = value
 
-    def capacity(self) -> float:
-        return 1.0  # utilization is normalized to the bottleneck drive
+    # the array is the engine agent: the member has no events of its own
+    def next_event_time(self) -> float:
+        return float("inf")
 
-    def _completions(self) -> int:
-        return self.completed_count
+    def advance_to(self, t: float) -> None:
+        pass
+
+    def enqueue(self, job, now: float) -> None:
+        raise TypeError(f"submit to the array, not its member {self.name}")
+
+    def queue_length(self) -> int:
+        return self._array._lane_depth(self._lane)
 
     def _busy_seconds(self) -> float:
-        return self.dcc.busy_time + self.hdd.busy_time
-
-    def _telemetry_extras(self) -> Dict[str, float]:
-        return {
-            "cache_hits": float(self.cache_hits),
-            "cache_misses": float(self.cache_misses),
-            "hdd_busy_s": self.hdd.busy_time,
-        }
-
-    def on_crash(self) -> None:
-        self.dcc.on_crash()
-        self.hdd.on_crash()
+        self._array._settled()
+        return self.dcc._busy + self.hdd._busy
 
     def sample(self, now: float) -> Dict[str, float]:
-        window = max(now - self._window_start, 1e-12)
-        busy = self.hdd._window_busy  # drive is the bottleneck resource
-        self.dcc._window_busy = 0.0
-        self.hdd._window_busy = 0.0
-        self._window_start = now
-        return {
-            "utilization": min(busy / window, 1.0),
-            "queue_length": float(self.queue_length()),
-        }
+        self._array._leave_uniform()  # this lane's window restarts alone
+        return super().sample(now)
+
+    def on_pause(self, now: float | None) -> None:
+        self._array._lane_pause(self, now)
+
+    def on_crash(self) -> None:
+        self._array._lane_crash(self)
+
+    def on_repair(self, now: float) -> None:
+        self._array._lane_repair(self, now)

@@ -3,7 +3,8 @@
 
 A request first traverses the disk-array controller cache ``Qdacc``; a hit
 there bypasses the fork-join entirely, a miss stripes the demand across
-the ``n`` member disks and joins on the last branch.
+the ``n`` member disks and joins on the last branch.  The whole stage
+schedule is computed at admission (:mod:`repro.hardware.storage`).
 """
 
 from __future__ import annotations
@@ -11,14 +12,11 @@ from __future__ import annotations
 import random
 from typing import Dict, List
 
-from repro.core.job import Job
-from repro.queueing.fcfs import FCFSQueue
-from repro.queueing.forkjoin import ForkJoin
-from repro.hardware.composite import CompositeAgent
-from repro.hardware.disk import Disk
+from repro.hardware.disk import MemberDisk
+from repro.hardware.storage import Stage, StripedStorage
 
 
-class RAID(CompositeAgent):
+class RAID(StripedStorage):
     """Redundant array of ``n`` identical disks.
 
     Parameters
@@ -34,6 +32,8 @@ class RAID(CompositeAgent):
     """
 
     agent_type = "raid"
+    #: the front stage whose array-cache hit ends a request: ``Qdacc``
+    _array_stage = 0
 
     def __init__(
         self,
@@ -51,10 +51,10 @@ class RAID(CompositeAgent):
             raise ValueError("a RAID needs at least one disk")
         if not 0.0 <= array_cache_hit_rate <= 1.0:
             raise ValueError("cache hit rate must be in [0, 1]")
-        self.dacc = FCFSQueue(f"{name}.dacc", rate=array_controller_bps, servers=1)
-        self.disks: List[Disk] = [
-            Disk(
-                f"{name}.disk{i}",
+        self.dacc = Stage(f"{name}.dacc", rate=array_controller_bps, servers=1)
+        self.disks: List[MemberDisk] = [
+            MemberDisk(
+                self, i, f"{name}.disk{i}",
                 controller_bps=controller_bps,
                 drive_bps=drive_bps,
                 cache_hit_rate=disk_cache_hit_rate,
@@ -62,51 +62,28 @@ class RAID(CompositeAgent):
             )
             for i in range(n_disks)
         ]
-        self.forkjoin = ForkJoin([d.enqueue for d in self.disks], split="stripe")
         self.array_cache_hit_rate = float(array_cache_hit_rate)
         self._rng = random.Random(seed)
         self.cache_hits = 0
         self.cache_misses = 0
         self.completed_count = 0
-        self._adopt_children()
+        self._init_schedule(self._stages(), self.disks, self._array_stage)
 
-    def _child_agents(self):
-        return [self.dacc, *self.disks]
+    def _stages(self) -> List[Stage]:
+        return [self.dacc]
 
     @property
     def n_disks(self) -> int:
         return len(self.disks)
 
     # ------------------------------------------------------------------
-    def _complete(self, job: Job, t: float) -> None:
-        self.completed_count += 1
-        job.finish(t)
-
-    def enqueue(self, job: Job, now: float) -> None:
-        if self._varray is not None:
-            # vector kernel: closed-form stage schedule, join-only event
-            self._varray.request(job, now)
-            return
+    def _draw_array_hit(self) -> bool:
         hit = self._rng.random() < self.array_cache_hit_rate
         if hit:
             self.cache_hits += 1
         else:
             self.cache_misses += 1
-
-        def dacc_done(_sub: Job, t: float) -> None:
-            if hit:
-                self._complete(job, t)
-            else:
-                fanned = Job(job.demand,
-                             on_complete=lambda _s, t2: self._complete(job, t2),
-                             not_before=t, tag=job.tag)
-                self.forkjoin.submit(fanned, t)
-
-        self.dacc.submit(
-            Job(job.demand, on_complete=dacc_done, not_before=job.not_before,
-                tag=job.tag),
-            now,
-        )
+        return hit
 
     def capacity(self) -> float:
         return float(self.n_disks)
@@ -114,29 +91,20 @@ class RAID(CompositeAgent):
     def _completions(self) -> int:
         return self.completed_count
 
-    def _busy_seconds(self) -> float:
-        return self.dacc.busy_time + sum(
-            d._busy_seconds() for d in self.disks
-        )
-
     def _telemetry_extras(self) -> Dict[str, float]:
+        self._settled()
         return {
             "cache_hits": float(self.cache_hits),
             "cache_misses": float(self.cache_misses),
-            "dacc_busy_s": self.dacc.busy_time,
+            "dacc_busy_s": self.dacc._busy,
         }
 
-    def on_crash(self) -> None:
-        self.dacc.on_crash()
-        for d in self.disks:
-            d.on_crash()
-        if self._varray is not None:
-            self._varray.on_crash()
-
     def sample(self, now: float) -> Dict[str, float]:
+        self._settled()
         window = max(now - self._window_start, 1e-12)
         busy = sum(d.hdd._window_busy for d in self.disks)
-        self.dacc._window_busy = 0.0
+        for q in self._stages():
+            q._window_busy = 0.0
         for d in self.disks:
             d.dcc._window_busy = 0.0
             d.hdd._window_busy = 0.0

@@ -1,45 +1,36 @@
 """Struct-of-arrays queueing substrate — the ``kernel="vector"`` path.
 
-The scalar substrate (`fcfs`/`ps`/`forkjoin` plus the hardware stations
-wrapping them) drives every station as its own exact-event agent: each
-service completion is an engine boundary, each boundary re-keys one
-wake-heap entry, and a single SAN round trip costs tens of Python-level
-events.  On large fleets the profiler shows ``step_select``/``wake``
-dominated by exactly this per-agent dispatch.
+The scalar substrate (`fcfs`/`ps` plus the hardware stations wrapping
+them) drives every station as its own exact-event agent: each service
+completion is an engine boundary and each boundary re-keys one
+wake-heap entry.  On large fleets the profiler shows
+``step_select``/``wake`` dominated by exactly this per-agent dispatch.
 
-This module batches homogeneous stations behind two engine drivers:
+``BatchedTier`` batches homogeneous stations behind one engine driver:
+a struct-of-arrays bank for FCFS stations (NIC, switch, CPU socket
+queues) plus a multiplexer for PS stations (network links).  Each FCFS
+member keeps a ``free``-slot vector; admission is the closed-form
+recurrence ``start = max(now, not_before, free.min(), last_start)`` —
+equivalent to the scalar head-of-line admission including the FIFO
+non-overtaking guarantee — so a completion costs one shared-heap pop
+instead of an engine boundary per station.  PS members keep their full
+scalar machinery but report their next event into a bank-level numpy
+vector with a cached min, so the engine sees one driver per tier
+instead of one agent per station.
 
-``BatchedTier``
-    A struct-of-arrays bank for FCFS stations (NIC, switch, CPU socket
-    queues) plus a multiplexer for PS stations (network links).  Each
-    FCFS member keeps a numpy ``free``-slot vector; admission is the
-    closed-form recurrence ``start = max(now, not_before, free.min(),
-    last_start)`` — equivalent to the scalar head-of-line admission
-    including the FIFO non-overtaking guarantee — so a completion costs
-    one shared-heap pop instead of an engine boundary per station.  PS
-    members keep their full scalar machinery but report their next event
-    into a bank-level numpy vector with a cached min, so the engine sees
-    one driver per tier instead of one agent per station.
-
-``VectorArray``
-    A one-event fast path for a SAN/RAID composite.  The internal
-    stage network (fc switch -> array controller -> fc loop -> striped
-    disk controllers -> drives) is feed-forward with single-server FIFO
-    stages, so the whole per-request schedule is computable in closed
-    form at submit time: one numpy pass over the stripe replaces the
-    ~dozens of scalar stage events, and the only engine boundary is the
-    sibling join.
+The storage composites (Disk, RAID, SAN) are not batched here: they
+schedule every request's stage chain in closed form under either
+kernel (:mod:`repro.hardware.storage`) and register as plain agents.
 
 Scalar stations stay registered *observationally* (telemetry, tracing,
-invariants and the metrics mirror read them as before); the drivers own
+invariants and the metrics mirror read them as before); the bank owns
 event scheduling.  Busy time is accrued as (start, fin) service spans
-and folded into the scalar ``record_busy`` counters in one vectorized
-pass at measurement boundaries, so windowed utilization, capacity
-invariants and telemetry see exactly the same accounting as the scalar
-path.  The scalar kernel remains the differential oracle: bit-parity
-across kernels is not required, but each kernel must pass the oracle
-sweep and event≡adaptive parity on its own (``tests/core/
-test_kernel_parity.py``).
+and folded into the scalar ``record_busy`` counters at measurement
+boundaries, so windowed utilization, capacity invariants and telemetry
+see the same accounting as the scalar path.  The scalar kernel remains
+the differential oracle: bit-parity across kernels is not required,
+but each kernel must pass the oracle sweep and event≡adaptive parity
+on its own (``tests/core/test_kernel_parity.py``).
 """
 
 from __future__ import annotations
@@ -74,8 +65,7 @@ class _SpanStore:
     pause/crash hooks, which commit and re-cut the spans first.
     """
 
-    __slots__ = ("stations", "starts", "fins", "accs", "idx", "blocks",
-                 "_n")
+    __slots__ = ("stations", "starts", "fins", "accs", "idx", "_n")
 
     def __init__(self, stations: List[Agent]) -> None:
         self.stations = stations
@@ -83,11 +73,6 @@ class _SpanStore:
         self.fins: List[float] = []
         self.accs: List[float] = []
         self.idx: List[int] = []
-        #: whole-stripe spans parked as ``(idx0, starts, fins)`` array
-        #: triples — one append per stripe instead of 2n list ops; the
-        #: arrays are owned by the store (callers must not mutate them)
-        #: and folded into the flat lists on demand
-        self.blocks: List[Tuple[int, Any, Any]] = []
         self._n = 0
 
     def __len__(self) -> int:
@@ -100,36 +85,8 @@ class _SpanStore:
         self.idx.append(station_idx)
         self._n += 1
 
-    def add_block(self, idx0: int, starts, fins) -> None:
-        """Batch-add one span per station for a contiguous index run
-        (``idx0 .. idx0+len(starts)``) — the striped-stage fast path."""
-        self.blocks.append((idx0, starts, fins))
-        self._n += len(starts)
-
-    def add_at(self, idxs, starts, fins) -> None:
-        """Batch-add spans at explicit station indices (numpy arrays)."""
-        s = starts.tolist()
-        self.starts.extend(s)
-        self.fins.extend(fins.tolist())
-        self.accs.extend(s)
-        self.idx.extend(idxs.tolist())
-        self._n += len(s)
-
-    def _flatten(self) -> None:
-        """Fold parked stripe blocks into the flat span lists."""
-        if not self.blocks:
-            return
-        for idx0, starts, fins in self.blocks:
-            s = starts.tolist()
-            self.starts.extend(s)
-            self.fins.extend(fins.tolist())
-            self.accs.extend(s)
-            self.idx.extend(range(idx0, idx0 + len(s)))
-        self.blocks.clear()
-
     def commit(self, t: float) -> None:
         """Credit service performed up to ``t`` to the stations."""
-        self._flatten()
         if not self.starts:
             return
         starts = np.asarray(self.starts)
@@ -157,32 +114,12 @@ class _SpanStore:
 
     def drop_station(self, station_idx: int) -> None:
         """Discard the remaining spans of one station (pause freeze)."""
-        self._flatten()
         keep = [i for i, s in enumerate(self.idx) if s != station_idx]
         self.starts = [self.starts[i] for i in keep]
         self.fins = [self.fins[i] for i in keep]
         self.accs = [self.accs[i] for i in keep]
         self.idx = [self.idx[i] for i in keep]
         self._n = len(self.starts)
-
-    def clear(self) -> None:
-        """Discard every open span (crash: scheduled service is lost)."""
-        self.starts = []
-        self.fins = []
-        self.accs = []
-        self.idx = []
-        self.blocks = []
-        self._n = 0
-
-    def shift(self, p: float, delta: float) -> None:
-        """Slide the uncommitted tail of every span by ``delta`` (repair
-        after a non-crash pause at ``p``)."""
-        self._flatten()
-        for i in range(len(self.starts)):
-            start = self.starts[i]
-            self.starts[i] = start + delta if start >= p else p + delta
-            self.fins[i] += delta
-            self.accs[i] = max(self.accs[i], p) + delta
 
 
 class BatchedTier(Agent):
@@ -231,7 +168,12 @@ class BatchedTier(Agent):
         # of servers, where list min/index beats numpy dispatch
         station._bank_free = [0.0] * station.servers
         station._bank_last_start = 0.0
+        # the station's event clock (latest completion or repair): an
+        # arrival behind it is admitted at the clock, as in the scalar
+        station._bank_clock = 0.0
         station._bank_inflight = 0
+        #: the station's scheduled jobs by id, in admission (FIFO) order
+        station._bank_live = {}
         station._bank_frozen = []
         station._waker = self._member_wake
         station._sched = self._member_resched
@@ -314,9 +256,28 @@ class BatchedTier(Agent):
         if station._paused:
             station._bank_frozen.append(job)
             return
+        limit = now + 1e-9
+        if station._bank_live and self._heap_min() <= limit:
+            self._settle(station, limit)
         self._fcfs_admit(station, job, now)
+        if job.finish_at <= limit:
+            # the scalar enqueue completes a job inside the guard before
+            # it returns, so guard completions keep arrival order
+            self._complete(station, job, job.finish_at)
         if self._waker is not None:
             self._waker(self)
+
+    def _settle(self, station, limit: float) -> None:
+        """Complete the station's jobs due inside the guard, in
+        ``(fin, seq)`` order, before an arrival is admitted (the scalar
+        enqueue settles its own events first)."""
+        due = [(job.finish_at, job) for job in station._bank_live.values()
+               if job.finish_at <= limit]
+        # a stable sort: admission order breaks ties
+        due.sort(key=lambda e: e[0])
+        for fin, job in due:
+            if job.finish_at == fin:
+                self._complete(station, job, fin)
 
     def _fcfs_admit(self, station, job: Job, t: float) -> None:
         """Closed-form admission: equivalent to the scalar head-of-line
@@ -335,12 +296,15 @@ class BatchedTier(Agent):
             start = nb
         if station._bank_last_start > start:
             start = station._bank_last_start
+        if station._bank_clock > start:
+            start = station._bank_clock
         fin = start + job.remaining / station.rate
         free[i] = fin
         station._bank_last_start = start
         if job.start_time is None:
             job.start_time = start
         job.finish_at = fin
+        station._bank_live[id(job)] = job
         heapq.heappush(self._heap, (fin, next(self._seq), station, job))
         self._spans.add(station._bank_sidx, start, fin)
         self._note_min(fin)
@@ -352,7 +316,10 @@ class BatchedTier(Agent):
             owner._depth -= 1
             owner = owner._depth_owner
         self._inflight -= 1
+        del station._bank_live[id(job)]
         station.completed_count += 1
+        if fin > station._bank_clock:
+            station._bank_clock = fin
         job.finish_at = None
         met = station._metrics
         if met is not None:
@@ -364,23 +331,13 @@ class BatchedTier(Agent):
     # ------------------------------------------------------------------
     # failure hooks (delegated from FCFSQueue when banked)
     # ------------------------------------------------------------------
-    def _station_jobs(self, station) -> List[Tuple[int, Job]]:
-        """The station's scheduled jobs in admission (FIFO) order."""
-        out = [
-            (seq, job)
-            for fin, seq, st, job in self._heap
-            if st is station and job.finish_at == fin
-        ]
-        out.sort(key=lambda e: e[0])
-        return out
-
     def fcfs_pause(self, station, now: Optional[float]) -> None:
         """Freeze the station: commit elapsed service, convert scheduled
         jobs back to remaining-work form, queue them for replay."""
         p = self._now if now is None else max(now, self._now)
         self._spans.commit(p)
         frozen: List[Job] = []
-        for _seq, job in self._station_jobs(station):
+        for job in station._bank_live.values():
             # (fin - p) * rate exceeds ``remaining`` exactly when the
             # scheduled start lies at/after the pause (no service yet);
             # otherwise it is the un-served tail of the span
@@ -392,6 +349,7 @@ class BatchedTier(Agent):
                 job.start_time = None
             job.finish_at = None  # invalidates the heap entry
             frozen.append(job)
+        station._bank_live = {}
         self._spans.drop_station(station._bank_sidx)
         station._bank_frozen = frozen
         self._reschedule()
@@ -407,6 +365,7 @@ class BatchedTier(Agent):
         r = max(now, self._now)
         station._bank_free = [r] * len(station._bank_free)
         station._bank_last_start = r
+        station._bank_clock = r
         frozen = station._bank_frozen
         station._bank_frozen = []
         for job in frozen:
@@ -513,354 +472,6 @@ class BatchedTier(Agent):
         return all(ps.queue_length() == 0 for ps in self._ps)
 
 
-class VectorArray(Agent):
-    """Closed-form scheduler for one SAN/RAID composite.
-
-    The stage network is feed-forward with single-server FIFO stages, so
-    at submit time the full per-request schedule — fc switch, array
-    controller, fc loop, striped disk controllers, drives — is computed
-    in one numpy pass over the stripe and only the sibling *join* is an
-    engine event.  RNG draws happen in the scalar order (array hit at
-    submit; per-disk hits in disk order on a miss), so the per-stream
-    sequences match the scalar kernel draw for draw.
-
-    Failure semantics mirror the scalar stages: a pause commits elapsed
-    service and, at repair, slides every uncommitted schedule by the
-    outage; a crash discards progress and replays every pending request
-    from scratch (reusing the original cache draws).
-    """
-
-    agent_type = "vector-array"
-
-    def __init__(self, owner) -> None:
-        super().__init__(f"{owner.name}.varray")
-        self.owner = owner
-        disks = owner.disks
-        self.n = len(disks)
-        self._has_loop = hasattr(owner, "fcsw")  # SAN; RAID has no FC loop
-        stations: List[Agent] = []
-        if self._has_loop:
-            stations.append(owner.fcsw)
-        self._si_dacc = len(stations)
-        stations.append(owner.dacc)
-        if self._has_loop:
-            stations.append(owner.fcal)
-        self._si_dcc = len(stations)
-        stations.extend(d.dcc for d in disks)
-        self._si_hdd = len(stations)
-        stations.extend(d.hdd for d in disks)
-        self._spans = _SpanStore(stations)
-        self._fcsw_free = 0.0
-        self._dacc_free = 0.0
-        self._fcal_free = 0.0
-        self._dcc_free = np.zeros(self.n)
-        self._hdd_free = np.zeros(self.n)
-        self._dcc_inv = 1.0 / np.array([d.dcc.rate for d in disks])
-        self._hdd_inv = 1.0 / np.array([d.hdd.rate for d in disks])
-        # per-disk cache draws stay per-stream (each disk owns a seeded
-        # Random), but the bound methods and hit rates are pre-gathered
-        # and the per-disk counters accrue lazily, flushed at sync
-        # points — the per-request Python loop over the stripe is gone
-        self._disk_draw = [d._rng.random for d in disks]
-        self._disk_hit_rate = np.array([d.cache_hit_rate for d in disks])
-        self._zero_cache = not (self._disk_hit_rate > 0.0).any()
-        self._no_hits = np.zeros(self.n, dtype=bool)
-        self._pend_disk_hits = np.zeros(self.n, dtype=np.int64)
-        self._pend_rounds = 0
-        self._pend_fan_completions = 0
-        self._heap: List[Tuple[float, int]] = []
-        self._seq = itertools.count()
-        # seq -> [join, job, array_hit, disk_hits-or-None]
-        self._pending: Dict[int, list] = {}
-        self._paused_arrivals: List[Tuple[Job, bool]] = []
-        self._now = 0.0
-        self._pause_at: Optional[float] = None
-        self._crashed = False
-        self._net_cache = _INF
-        self._net_dirty = True
-
-    # ------------------------------------------------------------------
-    # submit path (delegated from SAN/RAID.enqueue)
-    # ------------------------------------------------------------------
-    def request(self, job: Job, now: float) -> None:
-        owner = self.owner
-        # array cache draw first — same stream order as the scalar path
-        hit = owner._rng.random() < owner.array_cache_hit_rate
-        if hit:
-            owner.cache_hits += 1
-        else:
-            owner.cache_misses += 1
-        if now > self._now:
-            self._now = now
-        if self._paused:
-            # disk draws happen at replay, like the scalar frozen fan-out
-            self._paused_arrivals.append((job, hit))
-            return
-        join, disk_hits = self._schedule_path(job, now, hit, None)
-        seq = next(self._seq)
-        self._pending[seq] = [join, job, hit, disk_hits]
-        heapq.heappush(self._heap, (join, seq))
-        if self._waker is not None:
-            self._waker(self)
-        # re-key only when the new join can move the minimum
-        if self._net_dirty:
-            if self._sched is not None:
-                self._sched(self)
-        elif join < self._net_cache:
-            self._net_cache = join
-            if self._sched is not None:
-                self._sched(self)
-        if len(self._spans) > SPAN_COMMIT_THRESHOLD:
-            self._spans.commit(self._now)
-
-    def _schedule_path(
-        self, job: Job, now: float, hit: bool, disk_hits
-    ) -> Tuple[float, Any]:
-        """Compute the request's full stage schedule; returns the join
-        time and the per-disk cache draws (None on an array hit)."""
-        owner = self.owner
-        d = job.demand
-        spans = self._spans
-        t0 = now if job.not_before <= now else job.not_before
-        if self._has_loop:
-            s = t0 if t0 > self._fcsw_free else self._fcsw_free
-            fin = s + d / owner.fcsw.rate
-            self._fcsw_free = fin
-            spans.add(0, s, fin)
-            t0 = fin
-        s = t0 if t0 > self._dacc_free else self._dacc_free
-        dacc_fin = s + d / owner.dacc.rate
-        self._dacc_free = dacc_fin
-        spans.add(self._si_dacc, s, dacc_fin)
-        if hit:
-            return dacc_fin, None
-        t1 = dacc_fin
-        if self._has_loop:
-            s = t1 if t1 > self._fcal_free else self._fcal_free
-            fcal_fin = s + d / owner.fcal.rate
-            self._fcal_free = fcal_fin
-            spans.add(self._si_dacc + 1, s, fcal_fin)
-            t1 = fcal_fin
-        per = d / self.n
-        if disk_hits is None:
-            # per-disk draws in disk order = the scalar FIFO fan-out order
-            if self._zero_cache:
-                for r in self._disk_draw:
-                    r()
-                disk_hits = self._no_hits  # shared, treated immutable
-                any_hit = False
-            else:
-                draws = np.fromiter(
-                    (r() for r in self._disk_draw), dtype=float, count=self.n)
-                disk_hits = draws < self._disk_hit_rate
-                any_hit = bool(disk_hits.any())
-                if any_hit:
-                    self._pend_disk_hits += disk_hits
-            self._pend_rounds += 1
-        else:  # crash replay: reuse the stored draws, counters untouched
-            any_hit = disk_hits is not self._no_hits and bool(disk_hits.any())
-        dcc_start = np.maximum(t1, self._dcc_free)
-        dcc_fin = dcc_start + per * self._dcc_inv
-        self._dcc_free = dcc_fin
-        spans.add_block(self._si_dcc, dcc_start, dcc_fin)
-        if not any_hit:
-            # every disk misses (the common case when caches are cold or
-            # disabled): whole-stripe arrays, no fancy indexing
-            hs = np.maximum(dcc_fin, self._hdd_free)
-            hf = hs + per * self._hdd_inv
-            self._hdd_free = hf
-            spans.add_block(self._si_hdd, hs, hf)
-            return float(hf.max()), disk_hits
-        miss = ~disk_hits
-        if miss.any():
-            midx = np.flatnonzero(miss)
-            hs = np.maximum(dcc_fin[midx], self._hdd_free[midx])
-            hf = hs + per * self._hdd_inv[midx]
-            # copy before the fancy assignment: the current free vector
-            # may be parked in the span store as a block
-            nf = self._hdd_free.copy()
-            nf[midx] = hf
-            self._hdd_free = nf
-            spans.add_at(midx + self._si_hdd, hs, hf)
-            branch = dcc_fin.copy()
-            branch[midx] = hf
-            return float(branch.max()), disk_hits
-        return float(dcc_fin.max()), disk_hits
-
-    def _complete(self, rec: list, t: float) -> None:
-        _join, job, _hit, disk_hits = rec
-        self.owner.completed_count += 1
-        if disk_hits is not None:
-            self._pend_fan_completions += 1
-        job.finish(t)
-
-    def _flush_counters(self) -> None:
-        """Fold the deferred per-disk counters into the disk agents.
-
-        Runs at sync points (monitor boundaries, pause, end of run) —
-        everywhere per-disk telemetry is observable."""
-        rounds = self._pend_rounds
-        fan = self._pend_fan_completions
-        if rounds == 0 and fan == 0:
-            return
-        hits = self._pend_disk_hits
-        for i, dsk in enumerate(self.owner.disks):
-            h = int(hits[i])
-            dsk.cache_hits += h
-            dsk.cache_misses += rounds - h
-            dsk.completed_count += fan
-        hits[:] = 0
-        self._pend_rounds = 0
-        self._pend_fan_completions = 0
-
-    # ------------------------------------------------------------------
-    # exact-event contract
-    # ------------------------------------------------------------------
-    def _reschedule(self) -> None:
-        self._net_dirty = True
-        if self._sched is not None:
-            self._sched(self)
-
-    def next_event_time(self) -> float:
-        if self._paused:
-            return _INF
-        if not self._net_dirty:
-            return self._net_cache
-        nxt = _INF
-        heap = self._heap
-        pending = self._pending
-        while heap:
-            join, seq = heap[0]
-            rec = pending.get(seq)
-            if rec is not None and rec[0] == join:
-                nxt = join
-                break
-            heapq.heappop(heap)
-        self._net_cache = nxt
-        self._net_dirty = False
-        return nxt
-
-    def advance_to(self, t: float) -> None:
-        if self._paused:
-            return
-        self._net_dirty = True
-        limit = t + 1e-9
-        heap = self._heap
-        pending = self._pending
-        while heap:
-            join, seq = heap[0]
-            rec = pending.get(seq)
-            if rec is None or rec[0] != join:
-                heapq.heappop(heap)
-                continue
-            if join > limit:
-                break
-            heapq.heappop(heap)
-            del pending[seq]
-            if join > self._now:
-                self._now = join
-            self._complete(rec, join)
-        if len(self._spans) > SPAN_COMMIT_THRESHOLD:
-            self._spans.commit(self._now)
-
-    def sync_to(self, t: float) -> None:
-        self.advance_to(t)
-        if not self._paused:
-            self._spans.commit(t)
-        self._flush_counters()
-        if t > self.local_time:
-            self.local_time = t
-        if not self._paused and t > self._now:
-            self._now = t
-
-    # ------------------------------------------------------------------
-    # failure semantics (forwarded by the owner composite)
-    # ------------------------------------------------------------------
-    def on_pause(self, now: Optional[float]) -> None:
-        p = self._now if now is None else max(now, self._now)
-        self._spans.commit(p)
-        self._flush_counters()
-        self._pause_at = p
-
-    def on_crash(self) -> None:
-        self._crashed = True
-
-    def on_repair(self, now: float) -> None:
-        p = self._pause_at if self._pause_at is not None else self._now
-        self._pause_at = None
-        r = max(now, p)
-        if self._crashed:
-            self._crashed = False
-            self._spans.clear()
-            self._fcsw_free = r
-            self._dacc_free = r
-            self._fcal_free = r
-            self._dcc_free[:] = r
-            self._hdd_free[:] = r
-            for seq in sorted(self._pending):
-                rec = self._pending[seq]
-                join, disk_hits = self._schedule_path(
-                    rec[1], r, rec[2], rec[3]
-                )
-                rec[0] = join
-                rec[3] = disk_hits
-        else:
-            delta = r - p
-            if delta > 0.0:
-                self._spans.shift(p, delta)
-                self._fcsw_free = self._shift_free(self._fcsw_free, p, delta)
-                self._dacc_free = self._shift_free(self._dacc_free, p, delta)
-                self._fcal_free = self._shift_free(self._fcal_free, p, delta)
-                np.copyto(
-                    self._dcc_free,
-                    np.where(self._dcc_free > p, self._dcc_free + delta,
-                             self._dcc_free),
-                )
-                np.copyto(
-                    self._hdd_free,
-                    np.where(self._hdd_free > p, self._hdd_free + delta,
-                             self._hdd_free),
-                )
-                for rec in self._pending.values():
-                    if rec[0] > p:
-                        rec[0] += delta
-        self._heap = [(rec[0], seq) for seq, rec in self._pending.items()]
-        heapq.heapify(self._heap)
-        arrivals = self._paused_arrivals
-        self._paused_arrivals = []
-        for job, hit in arrivals:
-            join, disk_hits = self._schedule_path(job, r, hit, None)
-            seq = next(self._seq)
-            self._pending[seq] = [join, job, hit, disk_hits]
-            heapq.heappush(self._heap, (join, seq))
-        if r > self._now:
-            self._now = r
-
-    @staticmethod
-    def _shift_free(free: float, p: float, delta: float) -> float:
-        return free + delta if free > p else free
-
-    # ------------------------------------------------------------------
-    # Agent plumbing
-    # ------------------------------------------------------------------
-    def enqueue(self, job: Job, now: float) -> None:
-        self.request(job, now)
-
-    def queue_length(self) -> int:
-        return len(self._pending) + len(self._paused_arrivals)
-
-    def idle(self) -> bool:
-        # pending deferred counters keep the driver active so the final
-        # sync_to flushes them before idle eviction
-        return (
-            not self._pending
-            and not self._paused_arrivals
-            and not len(self._spans)
-            and self._pend_rounds == 0
-            and self._pend_fan_completions == 0
-        )
-
-
 # ----------------------------------------------------------------------
 # engine wiring
 # ----------------------------------------------------------------------
@@ -904,35 +515,21 @@ def vectorize_agents(sim, agents, name: str = "tier") -> List[Agent]:
     """Register topology agents under the vector kernel.
 
     Classifies each agent and wires it behind a shared :class:`BatchedTier`
-    (FCFS and PS stations, CPU socket queues) or a per-composite
-    :class:`VectorArray` (SAN/RAID); anything the vector kernel does not
-    batch falls back to plain scalar registration.  Returns the engine
-    drivers created.
+    (FCFS and PS stations, CPU socket queues); anything the bank does not
+    batch -- the storage composites, which schedule themselves in closed
+    form under either kernel, included -- falls back to plain scalar
+    registration.  Returns the engine drivers created.
     """
     # imported lazily: repro.queueing must stay importable without the
     # hardware layer (which itself imports repro.queueing)
     from repro.hardware.cpu import CPU
-    from repro.hardware.raid import RAID
-    from repro.hardware.san import SAN
     from repro.queueing.fcfs import FCFSQueue
     from repro.queueing.ps import PSQueue
 
     bank = BatchedTier(f"{name}.bank")
     drivers: List[Agent] = []
     for agent in agents:
-        if isinstance(agent, (SAN, RAID)):
-            varray = VectorArray(agent)
-            agent._varray = varray
-
-            def _array_wake(_a, _v=varray):
-                if _v._waker is not None:
-                    _v._waker(_v)
-                _v._reschedule()
-
-            observe_agent(sim, agent, waker=_array_wake)
-            register_driver(sim, varray)
-            drivers.append(varray)
-        elif isinstance(agent, CPU):
+        if isinstance(agent, CPU):
             observe_agent(sim, agent, waker=bank._member_wake)
             for q in agent.socket_queues:
                 bank.adopt_fcfs(q)

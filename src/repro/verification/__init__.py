@@ -13,9 +13,11 @@ Three pillars keep the simulator honest as it grows:
   the invariant checker as the property (see ``tests/verification``).
 
 :mod:`repro.verification.parity` adds the event ≡ adaptive sampled-
-window check that the stepping-kernel contract promises, and the
+window check that the stepping-kernel contract promises, the
 sharded ≡ single-process check (:func:`check_sharded`) that gates the
-multiprocess backend on a consolidation-fleet window.
+multiprocess backend on a consolidation-fleet window, and the
+closed-form ≡ reference storage check (:func:`check_storage`) against
+the event-by-event stage chain of :mod:`repro.verification.storage`.
 """
 
 from repro.verification.invariants import (
@@ -38,6 +40,7 @@ from repro.verification.oracles import (
 from repro.verification.parity import (
     ParityResult,
     check_sharded,
+    check_storage,
     check_window,
     check_windows,
 )
@@ -58,6 +61,7 @@ __all__ = [
     "standard_sweeps",
     "ParityResult",
     "check_sharded",
+    "check_storage",
     "check_window",
     "check_windows",
 ]

@@ -160,6 +160,10 @@ class InvariantChecker:
         # Little's law accumulators: agent -> [queue_len_integral, last_t]
         self._l_int: Dict["Agent", List[float]] = {}
         self._leaf_types: Dict[type, bool] = {}
+        # the leaf stations of the agent list (agents only ever get
+        # appended, so its length says when to rescan)
+        self._leaf_n = -1
+        self._leaf_set: Set["Agent"] = set()
 
     # ------------------------------------------------------------------
     # wiring
@@ -187,26 +191,41 @@ class InvariantChecker:
         state = self._state
         # one leaf scan and one queue-length read per agent per boundary,
         # shared by every check
-        leaf_list = _leaf_stations(sim.agents, self._leaf_types)
-        leaf = set(leaf_list)
-        qlens: List[int] = []
+        if self._leaf_n != len(sim.agents):
+            self._leaf_set = set(_leaf_stations(sim.agents,
+                                                self._leaf_types))
+            self._leaf_n = len(sim.agents)
+        leaf = self._leaf_set
+        leaf_q: List[Tuple["Agent", int]] = []
+        monotone = "monotone" in checks
+        non_negative = "non_negative" in checks
+        capacity = "capacity" in checks and window > _EPS
+        conservation = "conservation" in checks
+        # conservation verdicts are flagged after every per-agent check,
+        # so a strict run still raises the same violation first
+        ledger: List[Tuple[str, str]] = []
+        ahead = now + _EPS
         for agent in sim.agents:
             prev = state.get(agent)
-            last_local, last_busy = prev if prev is not None else (0.0, 0.0)
-            if "monotone" in checks:
-                lt = agent.local_time
+            if prev is None:
+                last_local = last_busy = 0.0
+            else:
+                last_local, last_busy = prev
+            lt = agent.local_time
+            if monotone:
                 if lt < last_local - _EPS:
                     self._flag(now, "monotone", agent.name,
                                f"local clock moved backwards: "
                                f"{last_local:.9f} -> {lt:.9f}")
-                if lt > now + _EPS:
+                if lt > ahead:
                     self._flag(now, "monotone", agent.name,
                                f"local clock t={lt:.9f} is ahead of the "
                                f"engine t={now:.9f}")
             busy = agent._busy_seconds()
             qlen = agent.queue_length()
-            qlens.append(qlen)
-            if "non_negative" in checks:
+            arrivals = agent.arrivals
+            drops = agent.drops
+            if non_negative:
                 if qlen < 0:
                     self._flag(now, "non_negative", agent.name,
                                f"queue length {qlen} < 0")
@@ -214,23 +233,29 @@ class InvariantChecker:
                     self._flag(now, "non_negative", agent.name,
                                f"busy time decreased: {last_busy:.9f} -> "
                                f"{busy:.9f}")
-                if (agent.arrivals < 0 or agent.drops < 0
+                if (arrivals < 0 or drops < 0
                         or agent.shed < 0 or agent.retries < 0):
                     self._flag(now, "non_negative", agent.name,
                                "negative telemetry counter")
-            if ("capacity" in checks and prev is not None
-                    and window > _EPS and agent in leaf):
-                cap = agent.capacity()
-                if busy - last_busy > window * cap + _EPS * max(1.0, cap):
-                    self._flag(now, "capacity", agent.name,
-                               f"accrued {busy - last_busy:.9f} busy "
-                               f"server-seconds in a {window:.9f} s window "
-                               f"with capacity {cap:g}")
-            state[agent] = (agent.local_time, busy)
-        if "conservation" in checks:
-            self._check_conservation(now, sim, leaf, qlens)
+            is_leaf = agent in leaf
+            if is_leaf:
+                leaf_q.append((agent, qlen))
+                if capacity and prev is not None:
+                    cap = agent.capacity()
+                    if busy - last_busy > window * cap + _EPS * max(1.0, cap):
+                        self._flag(now, "capacity", agent.name,
+                                   f"accrued {busy - last_busy:.9f} busy "
+                                   f"server-seconds in a {window:.9f} s "
+                                   f"window with capacity {cap:g}")
+            state[agent] = (lt, busy)
+            if conservation:
+                verdict = self._ledger(agent, arrivals, drops, qlen, is_leaf)
+                if verdict is not None:
+                    ledger.append((agent.name, verdict))
+        for name, message in ledger:
+            self._flag(now, "conservation", name, message)
         if "littles_law" in checks:
-            self._accumulate_little(now, leaf_list)
+            self._accumulate_little(now, leaf_q)
         if ("fingerprint" in checks and self._session is not None
                 and self.fingerprint_every > 0
                 and self.boundaries % self.fingerprint_every == 0):
@@ -246,38 +271,36 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # individual checks
     # ------------------------------------------------------------------
-    def _check_conservation(self, now: float, sim: "Simulator",
-                            leaf: Set["Agent"], qlens: List[int]) -> None:
-        for agent, qlen in zip(sim.agents, qlens):
-            completions = agent._completions()
-            if agent.arrivals == 0 and completions > 0:
-                # fed through enqueue() (internal sub-stage used
-                # standalone): the submit-side ledger never opened
-                continue
-            in_flight = agent.arrivals - completions - agent.drops
-            if in_flight < 0:
-                self._flag(now, "conservation", agent.name,
-                           f"negative in-flight: arrivals={agent.arrivals} "
-                           f"completions={completions} drops={agent.drops}")
-                continue
-            if agent in leaf:
-                if in_flight != qlen:
-                    self._flag(
-                        now, "conservation", agent.name,
-                        f"arrivals != completions + queued + in-service + "
-                        f"drops: arrivals={agent.arrivals} "
-                        f"completions={completions} drops={agent.drops} "
+    @staticmethod
+    def _ledger(agent: "Agent", arrivals: int, drops: int, qlen: int,
+                is_leaf: bool) -> Optional[str]:
+        """The conservation verdict for one agent (``None``: it holds)."""
+        completions = agent._completions()
+        if arrivals == 0 and completions > 0:
+            # fed through enqueue() (internal sub-stage used standalone):
+            # the submit-side ledger never opened
+            return None
+        in_flight = arrivals - completions - drops
+        if in_flight < 0:
+            return (f"negative in-flight: arrivals={arrivals} "
+                    f"completions={completions} drops={drops}")
+        if is_leaf:
+            if in_flight != qlen:
+                return (f"arrivals != completions + queued + in-service + "
+                        f"drops: arrivals={arrivals} "
+                        f"completions={completions} drops={drops} "
                         f"live={qlen}")
-            elif qlen == 0 and in_flight != 0:
-                # composites over-count live jobs mid-stripe, but a
-                # drained composite must have settled its ledger
-                self._flag(now, "conservation", agent.name,
-                           f"drained (queue empty) but in-flight="
-                           f"{in_flight}")
+        elif qlen == 0 and in_flight != 0:
+            # composites over-count live jobs mid-stripe, but a drained
+            # composite must have settled its ledger
+            return f"drained (queue empty) but in-flight={in_flight}"
+        return None
 
     def _accumulate_little(self, now: float,
-                           leaf: List["Agent"]) -> None:
-        for agent in leaf:
+                           leaf: List[Tuple["Agent", int]]) -> None:
+        """``leaf``: each leaf station with its queue length this
+        boundary."""
+        for agent, qlen in leaf:
             acc = self._l_int.get(agent)
             if acc is None:
                 self._l_int[agent] = [0.0, now]
@@ -285,7 +308,7 @@ class InvariantChecker:
             integral, last_t = acc
             if now > last_t:
                 # left-rectangle on the boundary-sampled queue length
-                acc[0] = integral + agent.queue_length() * (now - last_t)
+                acc[0] = integral + qlen * (now - last_t)
                 acc[1] = now
 
     def _check_little(self, now: float, sim: "Simulator") -> None:

@@ -372,3 +372,54 @@ def check_sharded(
         identical=not mismatches,
         mismatches=mismatches,
     )
+
+
+# --------------------------------------------------------------------------
+# Closed-form storage against the event-by-event reference path
+# --------------------------------------------------------------------------
+
+def check_storage(
+    *,
+    n_regions: int = 4,
+    until: float = 10.0,
+    seed: int = 42,
+    kernel: str = "scalar",
+) -> ParityResult:
+    """Diff the closed-form storage schedules against the reference path.
+
+    The consolidation fleet runs twice on ``kernel``: with the Disk,
+    RAID and SAN schedules of :mod:`repro.hardware.storage`, and with
+    every storage composite switched to the event-by-event chain of
+    :mod:`repro.verification.storage`.  Records and every storage
+    agent's telemetry (busy time to the bit, ``queue_hwm``) must match.
+    """
+    from repro.hardware.storage import StripedStorage
+    from repro.studies.fleet import fleet_scenario
+    from repro.verification.storage import use_reference_storage
+
+    outputs = []
+    for reference in (False, True):
+        scenario = fleet_scenario(n_regions, seed=seed)
+        if reference:
+            use_reference_storage(scenario.topology)
+        result = simulate(scenario, until=until, kernel=kernel)
+        storage = {a.name for a in scenario.topology.all_agents()
+                   if isinstance(a, StripedStorage)}
+        outputs.append((
+            [(r.operation, r.start, r.end, r.failed)
+             for r in result.records],
+            {name: tel for name, tel in result.telemetry().items()
+             if name in storage},
+        ))
+    (recs, tel), (ref_recs, ref_tel) = outputs
+    mismatches = sorted(name for name in ref_tel
+                        if tel.get(name) != ref_tel[name])
+    if recs != ref_recs:
+        mismatches.insert(0, "records")
+    return ParityResult(
+        scenario=f"storage-fleet-{n_regions}",
+        until=until,
+        records=len(recs),
+        identical=not mismatches,
+        mismatches=mismatches,
+    )

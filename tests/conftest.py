@@ -19,10 +19,13 @@ try:  # hypothesis ships with the dev toolchain but stays optional
 except ImportError:  # pragma: no cover - dev installs always have it
     _hyp_settings = None
 else:
-    # "fast" keeps PR feedback quick; the nightly CI job exports
-    # HYPOTHESIS_PROFILE=deep for the wide sweep.  Per-test @settings
-    # decorators still override the profile where a test needs more.
-    _hyp_settings.register_profile("fast", max_examples=25, deadline=None)
+    # "fast" keeps PR feedback quick and deterministic (a fixed example
+    # set, so a red run is a bug, not bad luck); the nightly CI job
+    # exports HYPOTHESIS_PROFILE=deep for the wide random sweep.
+    # Per-test @settings decorators still override the profile where a
+    # test needs more.
+    _hyp_settings.register_profile("fast", max_examples=25, deadline=None,
+                                   derandomize=True)
     _hyp_settings.register_profile("deep", max_examples=300, deadline=None)
     _hyp_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "fast"))
 

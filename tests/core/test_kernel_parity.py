@@ -25,20 +25,12 @@ KERNELS = ("scalar", "vector")
 SWEEP_KW = dict(replications=3, horizon=300.0, base_seed=20260806)
 
 
-def _signature(result, drop_hwm=False):
-    """Everything observable: records plus full per-agent telemetry.
-
-    ``drop_hwm``: a composite's ``queue_hwm`` counts per-station jobs
-    under the scalar kernel (a striped fan-out counts once per disk)
-    but logical in-flight requests under the vector kernel, so the
-    cross-kernel comparison excludes it; within a kernel it is exact.
-    """
+def _signature(result):
+    """Everything observable: records plus full per-agent telemetry."""
     records = tuple(dataclasses.astuple(r) for r in result.records)
     telemetry = []
     for name, tel in sorted(result.telemetry().items()):
         d = dataclasses.asdict(tel)
-        if drop_hwm:
-            d.pop("queue_hwm", None)
         telemetry.append((name, tuple(sorted(d.items()))))
     return records, tuple(telemetry)
 
@@ -127,16 +119,16 @@ def test_event_adaptive_parity(kernel, spec):
 
 @pytest.mark.parametrize("spec", ["consolidation", "multimaster"])
 def test_scalar_vector_agreement(spec):
-    """Cross-kernel: records and telemetry agree modulo queue_hwm.
+    """Cross-kernel: records and full telemetry agree exactly.
 
     Stronger than the contract requires (tolerance-level agreement);
     kept exact while it holds because it pins the closed-form admission
-    to the scalar recurrence.  ``queue_hwm`` is excluded — see
-    ``_signature``.
+    to the scalar recurrence.  Both kernels share one storage schedule
+    (:mod:`repro.hardware.storage`), so ``queue_hwm`` is compared too.
     """
     seed = 3
     rs = simulate(spec, until=40.0, seed=seed, kernel="scalar")
     rv = simulate(spec, until=40.0, seed=seed, kernel="vector")
-    a = _signature(rs, drop_hwm=True)
-    b = _signature(rv, drop_hwm=True)
+    a = _signature(rs)
+    b = _signature(rv)
     assert a == b, _diff_message(f"{spec} scalar vs vector", seed, a, b)

@@ -1,10 +1,14 @@
-"""Exact pin of the scalar storage path: FCFS stations under CPU, Disk and
-SAN composites, with a server crash and a SAN disk failure mid-run.
+"""Exact pin of the scalar storage path: FCFS stations under CPU
+composites and the closed-form SAN schedules, with a server crash and a
+SAN disk failure mid-run.
 
 The perfbench digest leaves busy-time floats and ``queue_hwm`` out, and
 the ch. 5 metrics baseline has no ``queue_hwm`` rows, so this test is
 the tier-1 gate that a change to the scalar queueing or composite
-bookkeeping keeps every one of them bit-identical.
+bookkeeping keeps every one of them bit-identical.  The per-tick queue
+depth of every storage composite must also equal the event-by-event
+reference path's (:mod:`repro.verification.storage`), whose stations
+hold the stage jobs the closed form only counts.
 """
 
 import hashlib
@@ -12,10 +16,12 @@ import random
 
 from repro.api import Scenario
 from repro.hardware.composite import CompositeAgent
+from repro.hardware.storage import StripedStorage
 from repro.queueing.fcfs import FCFSQueue
 from repro.software.placement import SingleMasterPlacement
 from repro.studies.consolidation import MASTER
 from repro.studies.fleet import fleet_topology
+from repro.verification.storage import use_reference_storage
 
 SEED = 42
 HORIZON_S = 5.0
@@ -59,15 +65,6 @@ def _leaf_depth(agent) -> int:
     return sum(_leaf_depth(child) for child in agent._children)
 
 
-def _composites(agents):
-    for agent in agents:
-        if isinstance(agent, CompositeAgent):
-            yield agent
-            for child in agent._children:
-                if isinstance(child, CompositeAgent):
-                    yield child
-
-
 def _fingerprint(result) -> str:
     h = hashlib.sha256()
     for name, t in sorted(result.telemetry().items()):
@@ -81,10 +78,14 @@ def _fingerprint(result) -> str:
     return h.hexdigest()
 
 
-def test_scalar_storage_path_is_pinned_and_depth_is_exact():
+def _run(reference: bool):
+    """The pinned run; returns its result, the failed disk and the
+    per-tick queue depth of every storage composite."""
     topology = fleet_topology(8, seed=SEED)
     region = topology.datacenters["R00"]
     server = region.tiers["fs"].servers[0]
+    if reference:
+        use_reference_storage(topology)
     disk = region.sans[0].disks[3]
     scenario = Scenario(
         name="storage-pin",
@@ -100,21 +101,28 @@ def test_scalar_storage_path_is_pinned_and_depth_is_exact():
     sim.schedule(2.5, lambda t: server.repair(t))
     sim.schedule(3.0, lambda t: disk.repair(t))
 
-    composites = list(_composites(sim.agents))
-    checked = []
+    composites = [a for a in sim.agents if isinstance(a, CompositeAgent)]
+    storage = [a for a in sim.agents if isinstance(a, StripedStorage)]
+    depths = []
 
     def check_depth(now: float) -> None:
-        held = 0
+        # a CPU's counter equals the jobs its socket stations hold
         for agent in composites:
-            leaf = _leaf_depth(agent)
-            assert agent.queue_length() == leaf, (agent.name, now)
-            held += leaf
-        checked.append(held)
+            assert agent.queue_length() == _leaf_depth(agent), (agent.name,
+                                                                now)
+        depths.append([a.queue_length() for a in storage])
 
     sim.add_monitor(0.05, check_depth)
-    result = session.run(HORIZON_S)
+    return session.run(HORIZON_S), disk, depths
 
-    assert len(checked) >= 99
-    assert max(checked) > 0  # the depth check saw jobs in flight
+
+def test_scalar_storage_path_is_pinned_and_depth_is_exact():
+    result, disk, depths = _run(reference=False)
+    ref_result, _ref_disk, ref_depths = _run(reference=True)
+
+    assert len(depths) >= 99
+    assert max(map(sum, depths)) > 0  # the depth check saw jobs in flight
+    assert depths == ref_depths
     assert disk.completed_count > 0 and not disk.paused
     assert _fingerprint(result) == EXPECTED
+    assert _fingerprint(ref_result) == EXPECTED

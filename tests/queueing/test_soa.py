@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.core import Job, Simulator
-from repro.hardware.raid import RAID
 from repro.queueing import FCFSQueue
 from repro.queueing.soa import BatchedTier, _SpanStore, vectorize_agents
 
@@ -22,12 +21,11 @@ class _FakeStation:
 # span store
 # ----------------------------------------------------------------------
 def test_span_store_partial_commit_credits_elapsed_service():
-    import numpy as np
-
     stations = [_FakeStation() for _ in range(3)]
     store = _SpanStore(stations)
     store.add(0, 0.0, 2.0)
-    store.add_block(1, np.array([1.0, 1.5]), np.array([3.0, 2.0]))
+    store.add(1, 1.0, 3.0)
+    store.add(2, 1.5, 2.0)
     assert len(store) == 3
     store.commit(1.5)
     # elapsed portions: [0,1.5] of span0, [1,1.5] of span1, none of span2
@@ -41,25 +39,10 @@ def test_span_store_partial_commit_credits_elapsed_service():
     assert len(store) == 0
 
 
-def test_span_store_shift_slides_uncommitted_tail():
-    import numpy as np
-
-    stations = [_FakeStation(), _FakeStation()]
-    store = _SpanStore(stations)
-    store.add_block(0, np.array([0.0, 4.0]), np.array([2.0, 5.0]))
-    store.commit(1.0)  # credits 1.0 to station 0
-    store.shift(1.0, 2.0)  # outage [1, 3): uncommitted tails slide by 2
-    store.commit(10.0)
-    assert stations[0].busy == pytest.approx(2.0)  # total demand conserved
-    assert stations[1].busy == pytest.approx(1.0)
-
-
 def test_span_store_drop_station_discards_only_that_station():
-    import numpy as np
-
     stations = [_FakeStation(), _FakeStation()]
     store = _SpanStore(stations)
-    store.add_block(0, np.array([0.0]), np.array([2.0]))
+    store.add(0, 0.0, 2.0)
     store.add(1, 0.0, 3.0)
     store.drop_station(0)
     store.commit(10.0)
@@ -99,93 +82,3 @@ def test_batched_admission_matches_scalar_multiserver():
     assert math.isclose(outcomes["scalar"][1], outcomes["vector"][1],
                         rel_tol=1e-12)
     assert outcomes["scalar"][2] == outcomes["vector"][2]
-
-
-# ----------------------------------------------------------------------
-# vector array
-# ----------------------------------------------------------------------
-def _raid(seed=7, hit=0.5):
-    return RAID("r", n_disks=2, array_controller_bps=400e6,
-                controller_bps=300e6, drive_bps=150e6,
-                array_cache_hit_rate=0.0, disk_cache_hit_rate=hit,
-                seed=seed)
-
-
-def _drive_raid(crash=None, repair=None, n_jobs=6, kernel="vector"):
-    """Run a vectorized RAID through a burst, optionally failing it."""
-    sim = Simulator(dt=0.01)
-    raid = _raid()
-    if kernel == "vector":
-        vectorize_agents(sim, [raid], name="t")
-    else:
-        sim.add_agent(raid)
-    done = []
-    for i in range(n_jobs):
-        sim.schedule(0.01 * i, lambda now, i=i: raid.submit(
-            Job(8e6, on_complete=lambda _j, t, i=i: done.append((i, t))),
-            now))
-    if crash is not None:
-        sim.schedule(crash[0], lambda now: raid.fail(crash=crash[1],
-                                                     now=now))
-        sim.schedule(repair, lambda now: raid.repair(now))
-    sim.run(30.0)
-    return raid, done
-
-
-def test_vector_array_completes_all_and_conserves_draws():
-    raid, done = _drive_raid()
-    assert len(done) == 6
-    fanned = raid.cache_misses  # array-cache misses reach the disks
-    for d in raid.disks:
-        assert d.cache_hits + d.cache_misses == fanned
-        assert d.completed_count == fanned
-    # the closed-form schedule reproduces the scalar completion order
-    # and times (a cache-hitting request may legitimately overtake a
-    # striped one — under both kernels identically)
-    scalar_raid, scalar_done = _drive_raid(kernel="scalar")
-    assert scalar_done == done
-    assert math.isclose(scalar_raid._busy_seconds(), raid._busy_seconds(),
-                        rel_tol=1e-12)
-
-
-def test_vector_array_crash_replay_reuses_cache_draws():
-    """A crash replays pending requests without redrawing hit streams."""
-    base, base_done = _drive_raid()
-    crashed, crash_done = _drive_raid(crash=(0.05, True), repair=0.2)
-    assert len(crash_done) == len(base_done)
-    # per-disk draw streams are consumed once per fanned request either
-    # way: replay stores and reuses the original draws
-    for db, dc in zip(base.disks, crashed.disks):
-        assert (db.cache_hits, db.cache_misses) == (
-            dc.cache_hits, dc.cache_misses)
-
-
-def test_vector_array_pause_commits_elapsed_busy():
-    """Busy time: pause conserves served work, repair the remainder."""
-    base, _ = _drive_raid()
-    paused, done = _drive_raid(crash=(0.05, False), repair=0.2)
-    assert len(done) == 6
-    # non-crash outage: no service is lost or repeated, so total busy
-    # seconds match the uninterrupted run exactly
-    assert math.isclose(base._busy_seconds(), paused._busy_seconds(),
-                        rel_tol=1e-9)
-
-
-def test_vector_array_event_adaptive_parity_under_crash():
-    outcomes = {}
-    for mode in ("event", "adaptive"):
-        sim = Simulator(dt=0.01, mode=mode)
-        raid = _raid()
-        vectorize_agents(sim, [raid], name="t")
-        done = []
-        for i in range(4):
-            sim.schedule(0.02 * i, lambda now, i=i: raid.submit(
-                Job(8e6, on_complete=lambda _j, t, i=i: done.append((i, t))),
-                now))
-        sim.schedule(0.05, lambda now: raid.fail(crash=True, now=now))
-        sim.schedule(0.2, lambda now: raid.repair(now))
-        sim.run(30.0)
-        outcomes[mode] = (done, raid._busy_seconds(), raid.completed_count,
-                          [(d.cache_hits, d.cache_misses)
-                           for d in raid.disks])
-    assert outcomes["event"] == outcomes["adaptive"]

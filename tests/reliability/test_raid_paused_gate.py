@@ -13,11 +13,14 @@ import pytest
 from repro.core import Job, Simulator
 from repro.hardware import RAID
 from repro.verification import InvariantChecker
+from repro.verification.storage import as_reference
 
 
-def _raid(sim, n_disks=2):
+def _raid(sim, n_disks=2, reference=False):
     raid = RAID("r", n_disks=n_disks, array_controller_bps=1e9,
                 controller_bps=1e9, drive_bps=1e8, seed=1)
+    if reference:
+        as_reference(raid)
     sim.add_agent(raid)
     return raid
 
@@ -46,26 +49,38 @@ def test_paused_member_holds_only_its_own_stripe():
 
 
 def test_crash_requeues_in_service_stripe_progress():
-    sim = Simulator(dt=0.01, invariants=InvariantChecker(mode="strict"))
-    raid = _raid(sim)
-    sim.add_monitor(0.5, lambda now: None)
-    done = []
-    raid.submit(Job(4e8, on_complete=lambda j, t: done.append(t)), 0.0)
-    sim.run(1.5)  # both branches mid-service
-    hdd = raid.disks[0].hdd
-    assert hdd.in_service, "stripe should be in service on the drive"
-    raid.disks[0].fail(crash=True, now=sim.now)
-    # crash semantics: in-service work re-queued with progress reset
-    assert not hdd.in_service
-    assert hdd.queue_length() == 1
-    sim.run(4.0)
-    assert not done  # held while the member is down
-    raid.disks[0].repair(sim.now)
-    sim.run(12.0)
-    # the restarted branch pays its full service again, nothing is lost
-    assert len(done) == 1
-    assert done[0] >= 4.0 + 2.0  # outage end + full branch service
-    assert sim.invariants.ok
+    """Checked on the event-by-event reference path, whose drive holds
+    the stripe as a job, and on the closed-form schedule, which must
+    reach the same completion and busy time."""
+    outcomes = []
+    for reference in (True, False):
+        sim = Simulator(dt=0.01, invariants=InvariantChecker(mode="strict"))
+        raid = _raid(sim, reference=reference)
+        sim.add_monitor(0.5, lambda now: None)
+        done = []
+        raid.submit(Job(4e8, on_complete=lambda j, t: done.append(t)), 0.0)
+        sim.run(1.5)  # both branches mid-service
+        disk = raid.disks[0]
+        hdd = disk.hdd
+        if reference:
+            assert hdd.in_service, "stripe should be in service on the drive"
+        assert disk.queue_length() == 1
+        disk.fail(crash=True, now=sim.now)
+        # crash semantics: in-service work re-queued with progress reset
+        if reference:
+            assert not hdd.in_service
+            assert hdd.queue_length() == 1
+        assert disk.queue_length() == 1
+        sim.run(4.0)
+        assert not done  # held while the member is down
+        disk.repair(sim.now)
+        sim.run(12.0)
+        # the restarted branch pays its full service again, nothing lost
+        assert len(done) == 1
+        assert done[0] >= 4.0 + 2.0  # outage end + full branch service
+        assert sim.invariants.ok
+        outcomes.append((done, raid._busy_seconds().hex()))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_paused_gate_is_mode_invariant():

@@ -9,8 +9,9 @@ completion ordering and busy time within 1e-9.
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.queueing.fcfs import FCFSQueue
 from repro.verification.properties import (
     drive_station,
     kernel_lockstep,
@@ -19,6 +20,16 @@ from repro.verification.properties import (
 )
 
 bursts = workload_bursts(max_jobs=25, horizon=30.0, max_demand=3.0)
+
+
+def _fcfs2():
+    return FCFSQueue("prop.fcfs", rate=1.0, servers=2)
+
+
+#: A sub-guard demand followed by a zero demand inside the same guard:
+#: the scalar enqueue completes each job before it returns, so they
+#: finish in arrival order, and the bank must keep that order.
+GUARD_ORDER = [(0.0, 1.1754943508222875e-38), (1.0464104858614766e-223, 0.0)]
 
 
 def _assert_lockstep(scalar, vector):
@@ -32,12 +43,14 @@ def _assert_lockstep(scalar, vector):
 
 
 @given(factory=station_factories(), seq=bursts)
+@example(factory=_fcfs2, seq=GUARD_ORDER)
 @settings(max_examples=60, deadline=None)
 def test_station_lockstep_event_mode(factory, seq):
     _assert_lockstep(*kernel_lockstep(factory, seq, mode="event"))
 
 
 @given(factory=station_factories(), seq=bursts)
+@example(factory=_fcfs2, seq=GUARD_ORDER)
 @settings(max_examples=25, deadline=None)
 def test_station_lockstep_adaptive_mode(factory, seq):
     _assert_lockstep(*kernel_lockstep(factory, seq, mode="adaptive"))
@@ -47,8 +60,6 @@ def test_station_lockstep_adaptive_mode(factory, seq):
 @settings(max_examples=40, deadline=None)
 def test_fcfs_bank_conserves_work(seq, servers):
     """Banked FCFS work conservation: busy == total demand / rate."""
-    from repro.queueing.fcfs import FCFSQueue
-
     factory = lambda: FCFSQueue("prop.fcfs", rate=2.0, servers=servers)
     comps, busy = drive_station(factory, seq, kernel="vector")
     assert len(comps) == len(seq)
@@ -59,8 +70,6 @@ def test_fcfs_bank_conserves_work(seq, servers):
 @pytest.mark.parametrize("mode", ["event", "adaptive"])
 def test_lockstep_known_sequence(mode):
     """A fixed regression sequence stays comparable without hypothesis."""
-    from repro.queueing.fcfs import FCFSQueue
-
     seq = [(0.0, 1.0), (0.1, 0.0), (0.1, 2.5), (4.0, 0.3), (4.0, 0.3)]
     factory = lambda: FCFSQueue("prop.fcfs", rate=1.0, servers=2)
     _assert_lockstep(*kernel_lockstep(factory, seq, mode=mode))
