@@ -20,9 +20,9 @@ class Agent(ABC):
     """Base class for all hardware-component agents.
 
     Subclasses implement the exact-event contract —
-    :meth:`next_event_time` returns the *exact* absolute time of the next
-    internal state change and :meth:`advance_to` processes every internal
-    event at its own timestamp — plus :meth:`enqueue` and
+    :meth:`next_event_time` returns the *exact* absolute time at which
+    the engine must next wake the agent and :meth:`advance_to` processes
+    every internal event at its own timestamp — plus :meth:`enqueue` and
     :meth:`queue_length`.  The base class maintains the agent's local
     clock and utilization accounting.
     """
@@ -71,9 +71,16 @@ class Agent(ABC):
     # ------------------------------------------------------------------
     @abstractmethod
     def next_event_time(self) -> float:
-        """Absolute time of this agent's earliest internal state change
-        (completion or admission); ``inf`` means no pending event (idle
-        or paused)."""
+        """The earliest time the engine must wake the agent; ``inf``
+        means never (idle or paused).
+
+        Usually the earliest internal state change (completion or
+        admission).  An agent may report a later time when the events
+        before it are visible to nothing outside the agent (a PS link's
+        lone admission): :meth:`advance_to`, :meth:`sync_to` and the
+        agent's own ``enqueue``, :meth:`fail` and :meth:`repair` still
+        process those events at their own timestamps before acting on
+        anything later."""
 
     @abstractmethod
     def advance_to(self, t: float) -> None:

@@ -195,9 +195,11 @@ class CompositeAgent(Agent):
     # ------------------------------------------------------------------
     def on_pause(self, now: float | None) -> None:
         # pause only children that were running: separately-failed members
-        # (e.g. a degraded RAID's dead disk) keep their own repair schedule
+        # (e.g. a degraded RAID's dead disk) keep their own repair schedule.
+        # Failing an already-paused composite adds to the children its
+        # first failure stopped.
         running: List[Agent] = [c for c in self._children if not c.paused]
-        self._paused_children = running
+        self._paused_children = getattr(self, "_paused_children", []) + running
         for child in running:
             child.fail(crash=False, now=now)
 

@@ -11,6 +11,15 @@ points (admissions and completions), each anchored at its precise
 absolute timestamp, so the queue state is independent of how the engine
 partitions time and ``mode="event"`` matches ``mode="adaptive"``
 bit-for-bit.
+
+Lone-job lookahead: a job alone on the link (nothing in service, nothing
+else waiting) changes no other job's share when it is admitted, so
+:meth:`PSQueue.next_event_time` reports its *completion*, ``due +
+remaining / rate``, and the engine wakes the link once per such
+transfer instead of twice.  The admission itself still happens at its
+own timestamp ``due`` -- inside the ``advance_to``/``sync_to`` that
+reaches it, or inside the next ``enqueue``, ``fail`` or ``repair`` -- so
+start times and busy-time pieces are those of an eager admission.
 """
 
 from __future__ import annotations
@@ -75,11 +84,16 @@ class PSQueue(Agent):
     def enqueue(self, job: Job, now: float) -> None:
         # propagation delay: the job may not start service before this time
         job.not_before = max(job.not_before, now + self.latency)
-        self._advance_to(now)
+        busy = bool(self.active or self.waiting)
+        if busy:
+            self._advance_to(now)
         if now > self._now:
             self._now = now
         self.waiting.append(job)
-        self._advance_to(now)
+        # on an idle link nothing else is pending, and the lone job's
+        # admission waits for its completion wake unless it is due now
+        if busy or max(job.not_before, self._now) <= now + 1e-9:
+            self._advance_to(now)
         # the arrival itself changes the next-event time even when no
         # event fired (e.g. a guarded job waiting on a free slot)
         self._reschedule()
@@ -99,6 +113,11 @@ class PSQueue(Agent):
     def next_event_time(self) -> float:
         if self._paused:
             return _INF
+        if not self.active and len(self.waiting) == 1:
+            # lone job: report its completion, the float its admission at
+            # ``due`` would schedule (share anchor ``due``, share ``rate``)
+            due = self._next_internal()
+            return due + self.waiting[0].remaining / self.rate
         return self._next_internal()
 
     def advance_to(self, t: float) -> None:
@@ -215,6 +234,28 @@ class PSQueue(Agent):
     # ------------------------------------------------------------------
     # failure semantics
     # ------------------------------------------------------------------
+    def fail(self, crash: bool = True, now: float | None = None) -> None:
+        self._admit_lone(now)
+        super().fail(crash, now)
+
+    def repair(self, now: float) -> None:
+        # a running link may be repaired too; its clock must not move
+        # past a pending admission
+        self._admit_lone(now)
+        super().repair(now)
+
+    def _admit_lone(self, t: float | None) -> None:
+        """Admit a running link's lone job that fell due by ``t`` (the
+        link's clock if None) without an engine wake (see
+        next_event_time), as an advance to ``t`` would have.  Inside the
+        link's own event loop, the loop admits it."""
+        if (self._paused or self._advancing or self.active
+                or len(self.waiting) != 1):
+            return
+        due = self._next_internal()
+        if due <= (self._now if t is None else t) + 1e-9:
+            self._process_at(due)
+
     def on_pause(self, now: float | None) -> None:
         p = self._now if now is None else max(now, self._now)
         if p < self._busy_anchor:

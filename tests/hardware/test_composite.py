@@ -4,6 +4,7 @@ the completion that made it, with no extra boundary."""
 
 from repro.core import Job, Simulator
 from repro.hardware.composite import CompositeAgent
+from repro.hardware.cpu import CPU
 from repro.queueing import FCFSQueue
 
 
@@ -45,3 +46,21 @@ def test_sub_guard_handoff_is_served_at_one_boundary():
     # 3.0 + 5e-10, and the run's horizon drain adds the last
     assert sim.profiler.ticks == 3
     assert pair.queue_length() == 0 and pair.next_event_time() == float("inf")
+
+
+def test_composite_failed_twice_resumes_every_station_on_repair():
+    """A second failure while down must not forget the stations the
+    first one stopped: one repair brings every socket queue back."""
+    sim = Simulator()
+    cpu = sim.add_agent(CPU("cpu", frequency_hz=1e9, sockets=2, cores=1))
+    done = []
+    sim.schedule(0.0, lambda now: cpu.submit(
+        Job(1e9, on_complete=lambda j, t: done.append(t)), now))
+    sim.schedule(0.5, lambda now: cpu.fail(crash=False, now=now))
+    sim.schedule(0.7, lambda now: cpu.fail(crash=False, now=now))
+    sim.schedule(1.0, lambda now: cpu.repair(now))
+    sim.run(5.0)
+    assert not any(q.paused for q in cpu.socket_queues)
+    # 0.5 s served before the failure, the other 0.5 s after the repair
+    assert done == [1.5]
+    assert cpu.queue_length() == 0
