@@ -11,7 +11,7 @@ Run:  python examples/background_job_tuning.py
 
 from __future__ import annotations
 
-from repro import simulate
+from repro import EngineOptions, simulate
 from repro.background.indexbuild import IndexBuildConfig
 from repro.background.synchrep import SynchRepConfig
 from repro.fluid.background import BackgroundSolver
@@ -41,8 +41,9 @@ def sweep_sr_interval(study: ConsolidationStudy) -> None:
 
 
 def compare_designs() -> None:
-    ch6 = simulate("consolidation", mode="fluid").study
-    ch7 = simulate("multimaster", mode="fluid").study
+    fluid = EngineOptions(mode="fluid")
+    ch6 = simulate("consolidation", engine=fluid).study
+    ch7 = simulate("multimaster", engine=fluid).study
     day6 = ch6.background_day()
     day7 = ch7.background_day("DNA")
     rows = [
@@ -66,7 +67,8 @@ def compare_designs() -> None:
 
 
 def main() -> None:
-    study = simulate("consolidation", mode="fluid").study
+    study = simulate("consolidation",
+                     engine=EngineOptions(mode="fluid")).study
     sweep_sr_interval(study)
     compare_designs()
 

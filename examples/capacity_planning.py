@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro import (
     Application,
     DataCenterSpec,
+    EngineOptions,
     GlobalTopology,
     MessageSpec,
     Operation,
@@ -78,7 +79,8 @@ def sweep() -> int:
     print(f"{'servers':>8} {'peak util':>10} {'peak resp (s)':>14}  verdict")
     chosen = None
     for n in range(2, 13):
-        result = simulate(design_point(n), mode="fluid")
+        result = simulate(design_point(n),
+                          engine=EngineOptions(mode="fluid"))
         solver = result.fluid
         app = result.scenario.applications[0]
         peak_util = max(solver.tier_cpu_utilization("DNA", "app", h * 3600.0)

@@ -11,7 +11,7 @@ Run:  python examples/consolidation_study.py
 
 from __future__ import annotations
 
-from repro import simulate
+from repro import EngineOptions, simulate
 from repro.api import fluid_waterfall
 from repro.metrics.report import format_table
 
@@ -19,7 +19,7 @@ from repro.metrics.report import format_table
 def main() -> None:
     print("building the consolidated infrastructure "
           "(6 DCs, master = DNA, transit hub AS1)...")
-    result = simulate("consolidation", mode="fluid")
+    result = simulate("consolidation", engine=EngineOptions(mode="fluid"))
     study = result.study
 
     # 1. computation (Fig 6-12 / 6-13)

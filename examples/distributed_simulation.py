@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import time
 
-from repro import Collect, simulate
-from repro.api import ParallelOptions
+from repro import Collect, ObservabilityOptions, ParallelOptions, simulate
 from repro.metrics.report import format_table
 from repro.verification.parity import sharded_fleet_scenario
 
@@ -35,8 +34,10 @@ SAMPLE_INTERVAL = 2.0
 def run(parallel):
     t0 = time.perf_counter()
     result = simulate(sharded_fleet_scenario(REGIONS), until=HORIZON,
-                      collect=Collect(sample_interval=SAMPLE_INTERVAL),
-                      trace="full", parallel=parallel)
+                      observability=ObservabilityOptions(
+                          collect=Collect(sample_interval=SAMPLE_INTERVAL),
+                          trace="full"),
+                      parallel=parallel)
     return result, time.perf_counter() - t0
 
 

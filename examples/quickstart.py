@@ -17,6 +17,7 @@ from repro import (
     DataCenterSpec,
     GlobalTopology,
     MessageSpec,
+    ObservabilityOptions,
     Operation,
     OperationMix,
     R,
@@ -79,7 +80,8 @@ def main() -> None:
     print(f"simulating {until:.0f} s of portal traffic "
           f"({app.workloads['DNA'].hourly[0]:.0f} logged clients)...")
     result = simulate(scenario, until=until,
-                      collect=Collect(sample_interval=10.0))
+                      observability=ObservabilityOptions(
+                          collect=Collect(sample_interval=10.0)))
 
     print(f"\noperations completed: {len(result.records)}")
     stats = result.response_stats()

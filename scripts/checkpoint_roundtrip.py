@@ -26,7 +26,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.api import Collect, Scenario, simulate  # noqa: E402
+from repro.api import (  # noqa: E402
+    CheckpointOptions,
+    Collect,
+    ObservabilityOptions,
+    Scenario,
+    simulate,
+)
 from repro.core.checkpoint import read_checkpoint  # noqa: E402
 from repro.software.application import Application  # noqa: E402
 from repro.software.message import CLIENT, MessageSpec  # noqa: E402
@@ -112,13 +118,14 @@ def main() -> int:
 
         print(f"[3/4] computing the uninterrupted reference "
               f"(until={UNTIL:.0f}s)")
-        full = simulate(scenario(), until=UNTIL,
-                        collect=Collect(sample_interval=5.0),
-                        checkpoint_every=CK_EVERY, checkpoint_path=ref_ck)
+        observe = ObservabilityOptions(collect=Collect(sample_interval=5.0))
+        full = simulate(scenario(), until=UNTIL, observability=observe,
+                        checkpoint=CheckpointOptions(every=CK_EVERY,
+                                                     path=ref_ck))
 
         print("[4/4] resuming from the orphaned checkpoint")
-        resumed = simulate(scenario(), resume_from=ck,
-                           collect=Collect(sample_interval=5.0))
+        resumed = simulate(scenario(), observability=observe,
+                           checkpoint=CheckpointOptions(resume_from=ck))
 
         assert resumed.until == UNTIL
         assert result_key(resumed) == result_key(full), (

@@ -10,15 +10,17 @@ replication and indexing jobs run concurrently with client workloads.
 
 Quickstart::
 
-    from repro import Scenario, simulate
+    from repro import ObservabilityOptions, Scenario, simulate
 
     result = simulate(Scenario.from_spec("consolidation"), until=600.0,
-                      trace="full")
+                      observability=ObservabilityOptions(trace="full"))
     print(result.response_stats())
     result.write_chrome_trace("trace.json")
 
 ``simulate()`` wraps engine construction, topology registration,
-workload wiring, cascade tracing and measurement collection; see
+workload wiring, cascade tracing and measurement collection, configured
+through the option groups ``EngineOptions``, ``ObservabilityOptions``,
+``CheckpointOptions`` and ``ParallelOptions``; see
 :mod:`repro.api` for the pieces and :mod:`repro.observability` for
 traces, per-agent telemetry and engine profiling.
 
@@ -58,7 +60,11 @@ from repro.reliability import AvailabilityMonitor, FailureInjector, FailurePolic
 from repro.resilience import ResilienceConfig, ResiliencePolicy
 from repro.metrics import Collector, rmse, steady_state_stats
 from repro.api import (
+    CheckpointOptions,
     Collect,
+    EngineOptions,
+    ObservabilityOptions,
+    ParallelOptions,
     Scenario,
     SimulationResult,
     SimulationSession,
@@ -113,7 +119,11 @@ __all__ = [
     "Collector",
     "rmse",
     "steady_state_stats",
+    "CheckpointOptions",
     "Collect",
+    "EngineOptions",
+    "ObservabilityOptions",
+    "ParallelOptions",
     "Scenario",
     "SimulationResult",
     "SimulationSession",

@@ -13,10 +13,13 @@ module folds that wiring into three pieces:
     :meth:`Scenario.to_json` via :mod:`repro.io`).
 
 :func:`simulate`
-    One call: ``simulate(scenario, until=600, trace="full",
-    collect=Collect(10.0))`` runs the DES and returns a
-    :class:`SimulationResult`; ``mode="fluid"`` solves the same scenario
-    analytically.
+    One call: ``simulate(scenario, until=600,
+    observability=ObservabilityOptions(trace="full"))`` runs the DES and
+    returns a :class:`SimulationResult`;
+    ``engine=EngineOptions(mode="fluid")`` solves the same scenario
+    analytically.  Settings come in typed groups
+    (:class:`EngineOptions`, :class:`ObservabilityOptions`,
+    :class:`CheckpointOptions`, :class:`ParallelOptions`).
 
 :class:`SimulationSession`
     The prepared-but-not-yet-run state (:meth:`Scenario.prepare`), for
@@ -69,12 +72,43 @@ class Collect:
 class ObservabilityOptions:
     """Everything :func:`simulate` can observe, grouped.
 
-    The grouped form is canonical: ``simulate(sc, until=600,
-    observability=ObservabilityOptions(collect=Collect(10.0),
-    metrics="on"))``.  The historical flat kwargs (``trace=``,
-    ``profile=``, ``collect=``, ``metrics=``, ``slo=``,
-    ``invariants=``) keep working and delegate here; passing a field
-    both ways is a configuration error.
+    ``simulate(sc, until=600, observability=ObservabilityOptions(
+    collect=Collect(10.0), metrics="on"))``.  Every field observes
+    without perturbing: results are bit-identical with any of them on.
+
+    ``trace``
+        Trace mode: ``None``/``"null"``, ``"full"``, ``"sampling:p"`` or
+        a :class:`~repro.observability.trace.TraceRecorder`.
+    ``profile``
+        Time the engine's phases
+        (:class:`~repro.observability.profiler.EngineProfiler`).
+    ``collect``
+        A :class:`Collect` config; ``None`` means no collector.
+    ``metrics``
+        Metrics mode: ``None``/``"null"`` (off, zero hot-path cost),
+        ``"on"``/``"full"``, or a prebuilt
+        :class:`~repro.observability.metrics.MetricsRegistry`.  ``None``
+        falls back to the scenario's ``metrics`` field.  When on, the
+        result exposes ``metrics_snapshot()`` / ``write_openmetrics()``
+        / ``write_metrics_jsonl()`` and the structured event log.
+    ``slo``
+        SLO rules evaluated in-sim on a monitor cadence: a list of rule
+        dicts / :class:`~repro.observability.slo.SLORule` objects or the
+        JSON block form ``{"interval": s, "rules": [...]}``.  ``None``
+        falls back to the scenario's ``slo`` field; a non-empty block
+        auto-enables metrics.  Violations emit ``alert`` events and the
+        verdict is ``result.slo_report()``.
+    ``invariants``
+        Runtime invariant checking: ``None``/``"null"`` (off, zero
+        hot-path cost), ``"strict"`` (raise
+        :class:`~repro.core.errors.InvariantViolation` on the first
+        failed conservation law), ``"warn"`` (collect violations, emit
+        ``invariant_violation`` events, finish the run), ``"full"``
+        (strict plus Little's-law reconciliation and fingerprint
+        stability), or a prebuilt
+        :class:`~repro.verification.invariants.InvariantChecker`.
+        Checks run at every monitor boundary; the verdict is
+        ``result.invariant_report()``.
     """
 
     trace: Any = None
@@ -89,10 +123,19 @@ class ObservabilityOptions:
 class CheckpointOptions:
     """Crash-safety configuration for :func:`simulate`, grouped.
 
-    ``every``/``path`` arm periodic checkpoints; ``resume_from``
-    rebuilds and fingerprint-verifies an interrupted run.  Flat
-    spellings: ``checkpoint_every=``, ``checkpoint_path=``,
-    ``resume_from=``.
+    ``every``
+        Write a crash-recovery checkpoint every this many simulated
+        seconds (requires ``path``).
+    ``path``
+        Where the periodic checkpoint is (atomically) overwritten.
+    ``resume_from``
+        Path of a checkpoint written by an earlier, interrupted run of
+        the *same* scenario: the run is rebuilt, deterministically
+        replayed to the checkpoint time, fingerprint-verified (raising
+        :class:`~repro.core.errors.CheckpointError` on drift) and then
+        continued to ``until``.  The replay takes the checkpoint's
+        ``mode`` and ``dt``; an explicit ``engine=`` that disagrees
+        with them raises ``CheckpointError``.
     """
 
     every: Optional[float] = None
@@ -209,14 +252,23 @@ KERNELS = ("scalar", "vector")
 class EngineOptions:
     """Engine/stepping configuration for :func:`simulate`, grouped.
 
-    ``kernel`` selects the queueing substrate: ``"scalar"`` drives every
-    station as its own exact-event agent (the differential oracle);
-    ``"vector"`` batches homogeneous stations behind struct-of-arrays
-    drivers (:mod:`repro.queueing.soa`) — same exact-event semantics,
-    far fewer engine boundaries on large fleets.  Bit-parity across
-    kernels is not guaranteed; each kernel passes the oracle sweep and
-    event≡adaptive parity on its own (``repro verify --kernel vector``).
-    Flat spellings: ``kernel=``, ``mode=``, ``dt=``.
+    ``kernel``
+        The queueing substrate: ``"scalar"`` drives every station as
+        its own exact-event agent (the differential oracle);
+        ``"vector"`` batches homogeneous stations behind
+        struct-of-arrays drivers (:mod:`repro.queueing.soa`) — same
+        exact-event semantics, far fewer engine boundaries on large
+        fleets.  Bit-parity across kernels is not guaranteed; each
+        kernel passes the oracle sweep and event≡adaptive parity on its
+        own (``repro verify --kernel vector``).
+    ``mode``
+        ``"event"`` (default) / ``"adaptive"`` / ``"fixed"`` run the
+        DES; ``"fluid"`` solves the scenario analytically (no engine,
+        ``until`` ignored).  ``"event"`` and ``"adaptive"`` produce
+        bit-identical results; see ``docs/engine.md``.
+    ``dt``
+        The tick of ``mode="fixed"``; the other modes step from
+        boundary to boundary and do not read it.
     """
 
     kernel: str = "scalar"
@@ -366,7 +418,7 @@ class Scenario:
         ``"consolidation"`` is the chapter 6 consolidated platform,
         ``"multimaster"`` the chapter 7 multiple-master variant.  The
         returned scenario carries the study object (fluid solvers
-        included) so ``mode="fluid"`` reuses it.
+        included) so ``EngineOptions(mode="fluid")`` reuses it.
         """
         if spec == "consolidation":
             from repro.studies.consolidation import MASTER, ConsolidationStudy
@@ -556,8 +608,8 @@ class SimulationSession:
                 f"unknown kernel {kernel!r} (choose one of {KERNELS})")
         if kernel == "vector" and mode == "fixed":
             raise ConfigurationError(
-                "kernel='vector' requires exact-event stepping; use "
-                "mode='event' or 'adaptive' (or kernel='scalar')")
+                "the vector kernel requires exact-event stepping; use "
+                "mode 'event' or 'adaptive' (or the scalar kernel)")
         self.scenario = scenario
         # sharded execution: the session registers (and therefore
         # simulates) only its own data centers; every other agent of the
@@ -862,8 +914,8 @@ class SimulationSession:
 
         The file stores the rebuild parameters plus a state fingerprint
         (see :mod:`repro.core.checkpoint`); :func:`simulate` with
-        ``resume_from=`` replays the same scenario to this time, checks
-        the fingerprint and continues.
+        ``CheckpointOptions(resume_from=)`` replays the same scenario to
+        this time, checks the fingerprint and continues.
         """
         from repro.core.checkpoint import write_checkpoint
 
@@ -889,10 +941,11 @@ class SimulationSession:
 
         The checkpoint monitor participates in adaptive step selection,
         so a resumed run re-arms the same cadence to replay the exact
-        step sequence (handled automatically by ``resume_from=``).
+        step sequence (handled automatically by
+        ``CheckpointOptions(resume_from=)``).
         """
         if every <= 0:
-            raise ConfigurationError("checkpoint_every must be positive")
+            raise ConfigurationError("checkpoint interval must be positive")
         self._checkpoint_every = every
         self._checkpoint_path = str(path)
         self.sim.add_monitor(
@@ -990,7 +1043,8 @@ class SimulationResult:
         """A collector probe's (time, value) series."""
         if self.collector is None:
             raise ConfigurationError(
-                "no collector was configured (pass collect=Collect(...))"
+                "no collector was configured (pass "
+                "ObservabilityOptions(collect=Collect(...)))"
             )
         return self.collector.series(name)
 
@@ -1017,8 +1071,8 @@ class SimulationResult:
     def _require_metrics(self) -> MetricsRegistry:
         if self.metrics is None:
             raise ConfigurationError(
-                "metrics were disabled (pass metrics='on' or add an slo "
-                "block to the scenario)"
+                "metrics were disabled (pass ObservabilityOptions("
+                "metrics='on') or add an slo block to the scenario)"
             )
         return self.metrics
 
@@ -1102,65 +1156,29 @@ class SimulationResult:
         return format_waterfall(f"{self.scenario.name}: {title}", rows)
 
 
-def _merge_group(group: Optional[Any], cls: type, flat: Dict[str, Any],
-                 defaults: Dict[str, Any], spellings: Dict[str, str]) -> Any:
-    """Resolve a typed option group against its flat kwarg spellings.
-
-    Flat kwargs remain fully supported: with no group they are packed
-    into one.  Passing a group *and* a non-default flat spelling of the
-    same field is ambiguous and raises instead of silently picking one.
-    """
-    if group is None:
-        return cls(**flat)
-    if not isinstance(group, cls):
-        raise ConfigurationError(
-            f"expected {cls.__name__}, got {type(group).__name__}")
-    clashes = [spellings[k] for k, v in flat.items() if v != defaults[k]]
-    if clashes:
-        raise ConfigurationError(
-            f"{', '.join(sorted(clashes))} passed both flat and via "
-            f"{cls.__name__}; use one spelling")
-    return group
-
-
 def simulate(
     scenario: Union[Scenario, str],
     *,
     until: Optional[float] = None,
-    dt: float = 0.01,
-    mode: str = "event",
-    kernel: str = "scalar",
-    trace: Any = None,
-    profile: bool = False,
-    collect: Optional[Collect] = None,
-    workloads: bool = True,
     seed: Optional[int] = None,
+    workloads: bool = True,
     resilience: Any = None,
-    metrics: Any = None,
-    slo: Any = None,
-    invariants: Any = None,
-    checkpoint_every: Optional[float] = None,
-    checkpoint_path: Optional[Union[str, Path]] = None,
-    resume_from: Optional[Union[str, Path]] = None,
+    engine: Optional[EngineOptions] = None,
     observability: Optional[ObservabilityOptions] = None,
     checkpoint: Optional[CheckpointOptions] = None,
-    engine: Optional[EngineOptions] = None,
     parallel: Any = None,
 ) -> SimulationResult:
     """Run one scenario end to end and return its results.
 
-    The canonical configuration style groups related knobs into typed
-    option objects::
+    Related settings come in typed option groups; a missing group means
+    its defaults::
 
         simulate(sc, until=600,
+                 engine=EngineOptions(kernel="vector"),
                  observability=ObservabilityOptions(collect=Collect(10.0),
                                                     metrics="on"),
                  checkpoint=CheckpointOptions(every=60.0, path="ck.json"),
                  parallel=ParallelOptions(workers=4, cut="region"))
-
-    The historical flat kwargs (``trace=``, ``metrics=``,
-    ``checkpoint_every=``, ...) keep working unchanged and delegate to
-    the groups; passing the same field both ways raises.
 
     Parameters
     ----------
@@ -1168,79 +1186,30 @@ def simulate(
         A :class:`Scenario` or a spec name (``"consolidation"``,
         ``"multimaster"``) resolved via :meth:`Scenario.from_spec`.
     until:
-        Simulated horizon in seconds (required unless ``mode="fluid"``).
-    mode:
-        ``"event"`` (default) / ``"adaptive"`` / ``"fixed"`` run the
-        DES; ``"fluid"`` solves the scenario analytically (no engine,
-        ``until`` ignored).  ``"event"`` and ``"adaptive"`` produce
-        bit-identical results; see ``docs/engine.md``.
-    kernel:
-        Queueing substrate: ``"scalar"`` (default; per-station exact-
-        event agents, the differential oracle) or ``"vector"``
-        (struct-of-arrays batching, :mod:`repro.queueing.soa`).  The
-        grouped spelling is ``engine=EngineOptions(kernel=...)``.
-    trace:
-        Trace mode: ``None``/``"null"``, ``"full"``, ``"sampling:p"`` or
-        a :class:`~repro.observability.trace.TraceRecorder`.
-    collect:
-        A :class:`Collect` config; omitted means no collector.
-    workloads:
-        Start the standard open-loop workloads (disable when a
-        ``setup`` hook drives all traffic itself).
+        Simulated horizon in seconds (required unless the engine mode
+        is ``"fluid"`` or the run resumes from a checkpoint that
+        records one).
     seed:
         Overrides the scenario's seed; every random substream of the
         run (workloads, runner, failures, jitter) fans out from it via
         :class:`~repro.core.rng.RandomStreams` — same seed, same
         collector series.
+    workloads:
+        Start the standard open-loop workloads (disable when a
+        ``setup`` hook drives all traffic itself).
     resilience:
         Timeout/retry/breaker/shedding policy: a
         :class:`~repro.resilience.ResilienceConfig`, a single
         :class:`~repro.resilience.ResiliencePolicy` used as the default
         for every hop, or a mapping (the scenario-JSON block form).
         ``None`` falls back to the scenario's ``resilience`` field.
-    metrics:
-        Metrics mode: ``None``/``"null"`` (off — the default; zero
-        hot-path cost), ``"on"``/``"full"``, or a prebuilt
-        :class:`~repro.observability.metrics.MetricsRegistry`.  ``None``
-        falls back to the scenario's ``metrics`` field.  When on, the
-        result exposes ``metrics_snapshot()`` / ``write_openmetrics()``
-        / ``write_metrics_jsonl()`` and the structured event log.
-    slo:
-        SLO rules evaluated in-sim on a monitor cadence: a list of rule
-        dicts / :class:`~repro.observability.slo.SLORule` objects or the
-        JSON block form ``{"interval": s, "rules": [...]}``.  ``None``
-        falls back to the scenario's ``slo`` field; a non-empty block
-        auto-enables metrics.  Violations emit ``alert`` events and the
-        verdict is available as ``result.slo_report()``.
-    invariants:
-        Runtime invariant checking: ``None``/``"null"`` (off — the
-        default; zero hot-path cost), ``"strict"`` (raise
-        :class:`~repro.core.errors.InvariantViolation` on the first
-        failed conservation law), ``"warn"`` (collect violations, emit
-        ``invariant_violation`` events, finish the run), ``"full"``
-        (strict plus Little's-law reconciliation and fingerprint
-        stability), or a prebuilt
-        :class:`~repro.verification.invariants.InvariantChecker`.
-        Checks run at every monitor boundary and observe without
-        perturbing; the verdict is ``result.invariant_report()``.
-    checkpoint_every:
-        Write a crash-recovery checkpoint every this many simulated
-        seconds (requires ``checkpoint_path``).
-    checkpoint_path:
-        Where the periodic checkpoint is (atomically) overwritten.
-    resume_from:
-        Path of a checkpoint written by an earlier, interrupted run of
-        the *same* scenario: the run is rebuilt, deterministically
-        replayed to the checkpoint time, fingerprint-verified (raising
-        :class:`~repro.core.errors.CheckpointError` on drift) and then
-        continued to ``until``.
+    engine:
+        An :class:`EngineOptions`: queueing kernel, stepping mode, dt.
     observability:
-        An :class:`ObservabilityOptions` group covering ``trace``,
-        ``profile``, ``collect``, ``metrics``, ``slo`` and
-        ``invariants`` in one object.
+        An :class:`ObservabilityOptions`: trace, profile, collector,
+        metrics, SLO rules and invariant checking.
     checkpoint:
-        A :class:`CheckpointOptions` group covering
-        ``checkpoint_every``/``checkpoint_path``/``resume_from``.
+        A :class:`CheckpointOptions`: periodic checkpoints and resume.
     parallel:
         Sharded multi-process execution: a :class:`ParallelOptions`, a
         worker count, or the scenario-JSON ``parallel:`` block form.
@@ -1258,65 +1227,41 @@ def simulate(
         backend's ``window_advance`` / ``envelope_exchange`` /
         ``barrier_wait``).  Checkpoint/resume and the invariant checker
         remain single-process-only for now.
-    engine:
-        An :class:`EngineOptions` group covering ``kernel``, ``mode``
-        and ``dt`` in one object.
     """
-    eng = _merge_group(
-        engine, EngineOptions,
-        {"kernel": kernel, "mode": mode, "dt": dt},
-        {"kernel": "scalar", "mode": "event", "dt": 0.01},
-        {"kernel": "kernel", "mode": "mode", "dt": "dt"},
-    )
-    kernel, mode, dt = eng.kernel, eng.mode, eng.dt
-    obs = _merge_group(
-        observability, ObservabilityOptions,
-        {"trace": trace, "profile": profile, "collect": collect,
-         "metrics": metrics, "slo": slo, "invariants": invariants},
-        {"trace": None, "profile": False, "collect": None,
-         "metrics": None, "slo": None, "invariants": None},
-        {"trace": "trace", "profile": "profile", "collect": "collect",
-         "metrics": "metrics", "slo": "slo", "invariants": "invariants"},
-    )
-    trace, profile, collect = obs.trace, obs.profile, obs.collect
-    metrics, slo, invariants = obs.metrics, obs.slo, obs.invariants
-    ckpt = _merge_group(
-        checkpoint, CheckpointOptions,
-        {"every": checkpoint_every, "path": checkpoint_path,
-         "resume_from": resume_from},
-        {"every": None, "path": None, "resume_from": None},
-        {"every": "checkpoint_every", "path": "checkpoint_path",
-         "resume_from": "resume_from"},
-    )
-    checkpoint_every, checkpoint_path = ckpt.every, ckpt.path
-    resume_from = ckpt.resume_from
     if isinstance(scenario, str):
         scenario = Scenario.from_spec(scenario)
     if seed is not None:
         import dataclasses
 
         scenario = dataclasses.replace(scenario, seed=seed)
-    if mode == "fluid":
+    eng = engine if engine is not None else EngineOptions()
+    if eng.mode == "fluid":
         return _simulate_fluid(scenario)
-    if mode not in ("event", "adaptive", "fixed"):
-        raise ConfigurationError(f"unknown simulate() mode {mode!r}")
-    if checkpoint_every is not None and checkpoint_path is None:
-        raise ConfigurationError("checkpoint_every needs checkpoint_path")
-    if kernel == "vector":
-        if checkpoint_every is not None or checkpoint_path is not None:
+    obs = observability if observability is not None \
+        else ObservabilityOptions()
+    ckpt = checkpoint if checkpoint is not None else CheckpointOptions()
+    if until is None and ckpt.resume_from is None:
+        raise ConfigurationError("simulate() needs until= for DES modes")
+    if ckpt.every is not None and ckpt.path is None:
+        raise ConfigurationError(
+            "CheckpointOptions.every needs CheckpointOptions.path")
+    writes = ckpt.every is not None or ckpt.path is not None
+    if eng.kernel == "vector":
+        if writes:
             raise ConfigurationError(
                 "kernel='vector' does not write checkpoints yet: the "
                 "batched substrate keeps struct-of-arrays state outside "
                 "the per-agent snapshots (tracked in ROADMAP.md under "
                 "'Checkpoint/resume under kernel=\"vector\"'). Run "
-                "kernel='scalar' with checkpoint_every=/checkpoint_path= "
-                "for crash safety, or drop the checkpoint options")
-        if resume_from is not None:
+                "EngineOptions(kernel='scalar') with CheckpointOptions("
+                "every=, path=) for crash safety, or drop the "
+                "checkpoint options")
+        if ckpt.resume_from is not None:
             raise ConfigurationError(
                 "kernel='vector' cannot resume from a checkpoint yet "
                 "(tracked in ROADMAP.md under 'Checkpoint/resume under "
-                "kernel=\"vector\"'). Resume with kernel='scalar', or "
-                "re-run the vector kernel from t=0")
+                "kernel=\"vector\"'). Resume with EngineOptions("
+                "kernel='scalar'), or re-run the vector kernel from t=0")
     par_spec = parallel if parallel is not None else scenario.parallel
     if par_spec is not None:
         popts = ParallelOptions.coerce(par_spec)
@@ -1324,80 +1269,71 @@ def simulate(
         # backend is a backend choice, and its single-shard fallback
         # (the baseline cell of every scaling sweep) must behave
         # exactly like the sharded runs it is compared against
-        if checkpoint_every is not None or checkpoint_path is not None:
+        if writes:
             raise ConfigurationError(
                 "parallel execution does not write checkpoints yet "
                 "(per-shard snapshots need a coordinated barrier "
                 "cut; tracked in ROADMAP.md under 'Checkpoint/"
                 "resume under parallel='). Run single-process with "
-                "checkpoint_every=/checkpoint_path= for crash "
-                "safety, or drop the checkpoint options")
-        if resume_from is not None:
+                "CheckpointOptions(every=, path=) for crash safety, "
+                "or drop the checkpoint options")
+        if ckpt.resume_from is not None:
             raise ConfigurationError(
                 "parallel execution cannot resume from a checkpoint "
                 "yet (tracked in ROADMAP.md under 'Checkpoint/resume "
                 "under parallel='). Resume single-process with "
-                "resume_from=, or re-run sharded from t=0")
-        if invariants is not None:
+                "CheckpointOptions(resume_from=), or re-run sharded "
+                "from t=0")
+        if obs.invariants is not None:
             raise ConfigurationError(
                 "parallel execution cannot attach the invariant "
                 "checker yet: it recomputes whole-session "
                 "fingerprints, which would need cross-shard "
                 "aggregation at every monitor boundary (tracked in "
                 "ROADMAP.md under 'Invariant checking under "
-                "parallel='). Run single-process with invariants= "
-                "to verify, or use `repro verify --parity` which "
-                "cross-checks sharded against single-process output")
-        if until is None:
-            raise ConfigurationError(
-                "simulate() needs until= for DES modes")
+                "parallel='). Run single-process with "
+                "ObservabilityOptions(invariants=) to verify, or use "
+                "`repro verify --parity` which cross-checks sharded "
+                "against single-process output")
         from repro.parallel.sharded import run_sharded
 
         return run_sharded(
-            scenario, until=until, options=popts, dt=dt, mode=mode,
-            kernel=kernel, trace=trace, profile=profile,
-            collect=collect, workloads=workloads,
-            resilience=resilience, metrics=metrics, slo=slo,
+            scenario, until=until, options=popts, engine=eng,
+            observability=obs, workloads=workloads, resilience=resilience,
         )
-    if resume_from is not None:
-        return _resume(
-            scenario, resume_from, until=until, trace=trace,
-            profile=profile, collect=collect, workloads=workloads,
-            resilience=resilience, metrics=metrics, slo=slo,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
-        )
-    if until is None:
-        raise ConfigurationError("simulate() needs until= for DES modes")
+    if ckpt.resume_from is not None:
+        return _resume(scenario, ckpt, until=until, engine=engine,
+                       observability=obs, workloads=workloads,
+                       resilience=resilience)
     session = scenario.prepare(
-        dt=dt, mode=mode, kernel=kernel, trace=trace, profile=profile,
-        collect=collect, resilience=resilience, metrics=metrics, slo=slo,
-        invariants=invariants,
+        dt=eng.dt, mode=eng.mode, kernel=eng.kernel, trace=obs.trace,
+        profile=obs.profile, collect=obs.collect, resilience=resilience,
+        metrics=obs.metrics, slo=obs.slo, invariants=obs.invariants,
     )
-    if checkpoint_every is not None:
+    if ckpt.every is not None:
         session._until = until
-        session.arm_checkpoints(checkpoint_every, checkpoint_path)
+        session.arm_checkpoints(ckpt.every, ckpt.path)
     return session.run(until, workloads=workloads)
 
 
 def _resume(
     scenario: Scenario,
-    resume_from: Union[str, Path],
+    ckpt: CheckpointOptions,
     *,
     until: Optional[float],
-    trace: Any,
-    profile: bool,
-    collect: Optional[Collect],
+    engine: Optional[EngineOptions],
+    observability: ObservabilityOptions,
     workloads: bool,
     resilience: Any,
-    metrics: Any,
-    slo: Any,
-    checkpoint_every: Optional[float],
-    checkpoint_path: Optional[Union[str, Path]],
 ) -> SimulationResult:
-    """Rebuild, replay to the checkpoint time, verify, continue."""
+    """Rebuild, replay to the checkpoint time, verify, continue.
+
+    The replay runs in the checkpoint's mode and dt; ``engine`` (when
+    given) must agree with them.
+    """
     from repro.core.checkpoint import read_checkpoint, state_fingerprint
 
+    resume_from = ckpt.resume_from
     doc = read_checkpoint(resume_from)
     meta = doc.get("scenario", {})
     if meta.get("name") != scenario.name or meta.get("seed") != scenario.seed:
@@ -1406,6 +1342,13 @@ def _resume(
             f"(seed {meta.get('seed')!r}), not {scenario.name!r} "
             f"(seed {scenario.seed!r})"
         )
+    if engine is not None and (engine.mode, engine.dt) != (doc["mode"],
+                                                           doc["dt"]):
+        raise CheckpointError(
+            f"checkpoint was written in mode={doc['mode']!r} "
+            f"dt={doc['dt']!r}, not EngineOptions(mode={engine.mode!r}, "
+            f"dt={engine.dt!r}); omit engine= to resume in the "
+            "checkpoint's")
     t_checkpoint = doc["time"]
     if until is None:
         until = doc.get("until")
@@ -1418,26 +1361,24 @@ def _resume(
             f"cannot resume to t={until} before the checkpoint "
             f"time t={t_checkpoint}"
         )
-    if metrics is None:
-        # a metered run fingerprints its registry; the replay must meter
-        # too or verification would (correctly) refuse to continue
-        metrics = doc.get("metrics")
+    obs = observability
+    # a metered run fingerprints its registry; the replay must meter
+    # too or verification would (correctly) refuse to continue
+    metrics = obs.metrics if obs.metrics is not None else doc.get("metrics")
     session = scenario.prepare(
-        dt=doc["dt"], mode=doc["mode"], trace=trace, profile=profile,
-        collect=collect, resilience=resilience, metrics=metrics, slo=slo,
+        dt=doc["dt"], mode=doc["mode"], trace=obs.trace,
+        profile=obs.profile, collect=obs.collect, resilience=resilience,
+        metrics=metrics, slo=obs.slo, invariants=obs.invariants,
     )
     session._until = until
-    every = doc.get("checkpoint_every")
-    if checkpoint_every is not None:
-        every = checkpoint_every
+    every = ckpt.every if ckpt.every is not None \
+        else doc.get("checkpoint_every")
     if every is not None:
         # re-arm the original cadence: the checkpoint monitor takes part
         # in adaptive step selection, so replay needs it to reproduce
         # the interrupted run's exact step sequence
         session.arm_checkpoints(
-            every, checkpoint_path if checkpoint_path is not None
-            else resume_from,
-        )
+            every, ckpt.path if ckpt.path is not None else resume_from)
     if workloads:
         session._workloads_started = True
         session._start_workloads(until)

@@ -185,7 +185,7 @@ def _cmd_resilience_drill(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.api import fluid_waterfall, simulate
+    from repro.api import EngineOptions, fluid_waterfall, simulate
     from repro.fluid.spans import synthesize_spans
     from repro.observability.exporters import write_chrome_trace
     from repro.software.workload import HOUR
@@ -193,7 +193,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.des:
         return _cmd_trace_des(args)
 
-    res = simulate(args.study, mode="fluid")
+    res = simulate(args.study, engine=EngineOptions(mode="fluid"))
     apps = {a.name: a for a in res.scenario.applications}
     if args.app not in apps:
         print(f"repro trace: error: unknown application {args.app!r}; "
@@ -235,12 +235,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_trace_des(args: argparse.Namespace) -> int:
     """DES capture: run a scaled-down scenario with full tracing."""
-    from repro.api import Scenario, simulate
+    from repro.api import ObservabilityOptions, Scenario, simulate
     from repro.observability.exporters import telemetry_table
 
     scenario = Scenario.from_spec(args.study)
     scenario.scale = args.scale
-    res = simulate(scenario, until=args.des, trace="full")
+    res = simulate(scenario, until=args.des,
+                   observability=ObservabilityOptions(trace="full"))
     print(f"{len(res.records)} operations, {len(res.spans())} spans, "
           f"{len(res.cascades())} traced cascades at scale {args.scale}")
     ops = sorted({c.operation for c in res.cascades()})
@@ -387,14 +388,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"  mismatched: {', '.join(storage.mismatches[:5])}")
             code = 1
     if args.invariants:
-        from repro.api import Collect, simulate
+        from repro.api import (
+            Collect,
+            EngineOptions,
+            ObservabilityOptions,
+            simulate,
+        )
         from repro.core.errors import InvariantViolation
 
         try:
             result = simulate(
                 "consolidation", until=args.invariant_until,
-                invariants="strict", kernel=args.kernel,
-                collect=Collect(sample_interval=6.0),
+                engine=EngineOptions(kernel=args.kernel),
+                observability=ObservabilityOptions(
+                    invariants="strict",
+                    collect=Collect(sample_interval=6.0)),
             )
             inv = result.invariant_report()
             document["invariants"] = inv

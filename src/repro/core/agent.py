@@ -78,9 +78,9 @@ class Agent(ABC):
         admission).  An agent may report a later time when the events
         before it are visible to nothing outside the agent (a PS link's
         lone admission): :meth:`advance_to`, :meth:`sync_to` and the
-        agent's own ``enqueue``, :meth:`fail` and :meth:`repair` still
-        process those events at their own timestamps before acting on
-        anything later."""
+        agent's own ``enqueue`` and :meth:`fail` still process those
+        events at their own timestamps before acting on anything
+        later."""
 
     @abstractmethod
     def advance_to(self, t: float) -> None:

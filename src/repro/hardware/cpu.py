@@ -238,7 +238,8 @@ class TimeSharedCPU(Agent):
         self._advancing = True
         processed = False
         try:
-            while True:
+            # a completion callback may fail the CPU: stop there
+            while not self._paused:
                 e = self._next_internal()
                 if e > t + 1e-9:
                     break
@@ -273,7 +274,8 @@ class TimeSharedCPU(Agent):
         for job in finished:
             self.completed_count += 1
             job.finish(t)
-        self._admit_at(t)
+        if not self._paused:
+            self._admit_at(t)
         if t > self._share_anchor:
             self._share_anchor = t
         if t > self._now:
@@ -323,6 +325,12 @@ class TimeSharedCPU(Agent):
         self._settle_to(p)
         if p > self._now:
             self._now = p
+
+    def repair(self, now: float) -> None:
+        # a running CPU has no service to resume, and moving its
+        # anchors to ``now`` would drop the work served since them
+        if self._paused:
+            super().repair(now)
 
     def on_repair(self, now: float) -> None:
         r = max(now, self._now)

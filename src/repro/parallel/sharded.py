@@ -63,7 +63,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api import (
-    Collect,
+    EngineOptions,
+    ObservabilityOptions,
     ParallelOptions,
     RemotePort,
     Scenario,
@@ -263,38 +264,39 @@ def _delivery(port: _ShardPort, recorder: Optional[TraceRecorder],
 
 
 def _shard_worker(idx: int, scenario: Scenario, plan: PartitionPlan,
-                  until: float, window: float, cfg: Dict[str, Any],
+                  until: float, window: float, options: ParallelOptions,
+                  engine: EngineOptions, observability: ObservabilityOptions,
+                  workloads: bool, resilience: Any,
                   inbox, outbox, results, heartbeats=None) -> None:
     """One shard: build a session over owned DCs, window to the horizon.
 
-    Runs in a child process.  ``cfg`` carries the picklable session
-    kwargs (dt, mode, collect, resilience, metrics, slo, workloads,
-    trace, profile, heartbeat_every).
+    Runs in a child process; every argument but the queues is
+    picklable.
     """
     try:
         shard_of = {dc: i for i, shard in enumerate(plan.shards)
                     for dc in shard}
         port = _ShardPort(window, shard_of=shard_of)
-        recorder = make_recorder(cfg.get("trace"))
+        obs = observability
+        recorder = make_recorder(obs.trace)
         if recorder is not None:
             recorder.set_shard(idx)
         session = scenario.prepare(
-            dt=cfg["dt"], mode=cfg["mode"], collect=cfg["collect"],
-            kernel=cfg.get("kernel", "scalar"),
-            trace=recorder, profile=cfg.get("profile", False),
-            resilience=cfg["resilience"], metrics=cfg["metrics"],
-            slo=cfg["slo"], shard=plan.shards[idx], remote=port,
+            dt=engine.dt, mode=engine.mode, kernel=engine.kernel,
+            trace=recorder, profile=obs.profile, collect=obs.collect,
+            resilience=resilience, metrics=obs.metrics, slo=obs.slo,
+            shard=plan.shards[idx], remote=port,
         )
         # handshake: report this shard's receivers, learn the fleet's
         outbox.put(port.receivers())
         receivers = inbox.get()
         port.seal(receivers)
-        if cfg["workloads"]:
+        if workloads:
             session._workloads_started = True
             session._start_workloads(until)
         if session.events is not None:
             session.events.emit("run_start", session.sim.now, until=until,
-                                mode=cfg["mode"], scenario=scenario.name,
+                                mode=engine.mode, scenario=scenario.name,
                                 shard=idx)
         # backend phases are always measured (three perf_counter reads
         # per window): window_advance = compute inside windows,
@@ -302,7 +304,7 @@ def _shard_worker(idx: int, scenario: Scenario, plan: PartitionPlan,
         # barrier_wait = blocked on the coordinator's window barrier
         phases = {"window_advance": 0.0, "envelope_exchange": 0.0,
                   "barrier_wait": 0.0}
-        hb_every = cfg.get("heartbeat_every", 0.0)
+        hb_every = options.heartbeat_every
         hb_last = [time.perf_counter()]
         mark = [0.0]
 
@@ -514,26 +516,21 @@ def run_sharded(
     *,
     until: float,
     options: ParallelOptions,
-    dt: float = 0.01,
-    mode: str = "event",
-    kernel: str = "scalar",
-    trace: Any = None,
-    profile: bool = False,
-    collect: Optional[Collect] = None,
+    engine: EngineOptions,
+    observability: ObservabilityOptions,
     workloads: bool = True,
     resilience: Any = None,
-    metrics: Any = None,
-    slo: Any = None,
 ) -> SimulationResult:
     """Execute one scenario sharded across worker processes.
 
-    Called by ``simulate(parallel=...)``; see that docstring for the
-    contract.  Falls back to the single-process engine when the cut
-    yields one shard.
+    Called by ``simulate(parallel=...)`` with its resolved option
+    groups; see that docstring for the contract.  Falls back to the
+    single-process engine when the cut yields one shard.
     """
     if scenario.topology is None:
         raise ConfigurationError("scenario has no topology")
-    if isinstance(trace, TraceRecorder):
+    obs = observability
+    if isinstance(obs.trace, TraceRecorder):
         raise ConfigurationError(
             "parallel execution builds one TraceRecorder per worker "
             "process and cannot adopt a prebuilt instance; pass a spec "
@@ -543,8 +540,9 @@ def run_sharded(
     wall0 = time.perf_counter()
     if plan.workers <= 1:
         session = scenario.prepare(
-            dt=dt, mode=mode, kernel=kernel, trace=trace, profile=profile,
-            collect=collect, resilience=resilience, metrics=metrics, slo=slo,
+            dt=engine.dt, mode=engine.mode, kernel=engine.kernel,
+            trace=obs.trace, profile=obs.profile, collect=obs.collect,
+            resilience=resilience, metrics=obs.metrics, slo=obs.slo,
         )
         result = session.run(until, workloads=workloads)
         result.parallel = ParallelReport(
@@ -575,16 +573,12 @@ def run_sharded(
         status_path=(None if options.status_path is None
                      else str(options.status_path)),
     )
-    cfg = {"dt": dt, "mode": mode, "kernel": kernel, "collect": collect,
-           "trace": trace, "profile": profile,
-           "resilience": resilience, "metrics": metrics, "slo": slo,
-           "workloads": workloads,
-           "heartbeat_every": options.heartbeat_every}
     procs = [
         ctx.Process(
             target=_shard_worker,
-            args=(i, scenario, plan, until, window, cfg,
-                  inboxes[i], outboxes[i], results, heartbeats),
+            args=(i, scenario, plan, until, window, options, engine, obs,
+                  workloads, resilience, inboxes[i], outboxes[i], results,
+                  heartbeats),
             daemon=True,
         )
         for i in range(plan.workers)
@@ -738,7 +732,7 @@ def run_sharded(
     )
     return SimulationResult(
         scenario=scenario,
-        mode=mode,
+        mode=engine.mode,
         until=until,
         records=records,
         trace=merged_trace,

@@ -18,8 +18,8 @@ else waiting) changes no other job's share when it is admitted, so
 remaining / rate``, and the engine wakes the link once per such
 transfer instead of twice.  The admission itself still happens at its
 own timestamp ``due`` -- inside the ``advance_to``/``sync_to`` that
-reaches it, or inside the next ``enqueue``, ``fail`` or ``repair`` -- so
-start times and busy-time pieces are those of an eager admission.
+reaches it, or inside the next ``enqueue`` or ``fail`` -- so start
+times and busy-time pieces are those of an eager admission.
 """
 
 from __future__ import annotations
@@ -152,7 +152,8 @@ class PSQueue(Agent):
         self._advancing = True
         processed = False
         try:
-            while True:
+            # a completion callback may fail the link: stop there
+            while not self._paused:
                 e = self._next_internal()
                 if e > t + 1e-9:
                     break
@@ -197,7 +198,8 @@ class PSQueue(Agent):
                     else start
                 met.observe_completion(start - enq, t - start, t - enq)
             job.finish(t)
-        self._admit_at(t)
+        if not self._paused:
+            self._admit_at(t)
         if t > self._share_anchor:
             self._share_anchor = t
         if t > self._now:
@@ -239,16 +241,17 @@ class PSQueue(Agent):
         super().fail(crash, now)
 
     def repair(self, now: float) -> None:
-        # a running link may be repaired too; its clock must not move
-        # past a pending admission
-        self._admit_lone(now)
-        super().repair(now)
+        # a running link has no service to resume, and moving its
+        # anchors to ``now`` would drop the work served since them
+        if self._paused:
+            super().repair(now)
 
     def _admit_lone(self, t: float | None) -> None:
         """Admit a running link's lone job that fell due by ``t`` (the
         link's clock if None) without an engine wake (see
-        next_event_time), as an advance to ``t`` would have.  Inside the
-        link's own event loop, the loop admits it."""
+        next_event_time), as an advance to ``t`` would have, before
+        a failure freezes it.  Inside the link's own event loop, the
+        loop admits it."""
         if (self._paused or self._advancing or self.active
                 or len(self.waiting) != 1):
             return

@@ -8,7 +8,8 @@ Three pillars keep the simulator honest as it grows:
   (``python -m repro verify`` / ``make verify-oracles``);
 - :mod:`repro.verification.invariants` — a pluggable engine hook that
   asserts conservation laws at every monitor boundary
-  (``simulate(invariants="strict")``), zero-cost when off;
+  (``simulate(observability=ObservabilityOptions(invariants="strict"))``),
+  zero-cost when off;
 - :mod:`repro.verification.properties` — hypothesis strategies driving
   the invariant checker as the property (see ``tests/verification``).
 

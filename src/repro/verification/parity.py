@@ -25,7 +25,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.api import Collect, ParallelOptions, Scenario, simulate
+from repro.api import (
+    Collect,
+    EngineOptions,
+    ObservabilityOptions,
+    ParallelOptions,
+    Scenario,
+    simulate,
+)
 from repro.software.application import Application
 from repro.software.message import CLIENT, MessageSpec
 from repro.software.operation import Operation
@@ -119,8 +126,10 @@ def check_window(
         scenario = scenario_factory()
         name = scenario.name
         result = simulate(
-            scenario, until=until, mode=mode, kernel=kernel,
-            collect=Collect(sample_interval=sample_interval),
+            scenario, until=until,
+            engine=EngineOptions(kernel=kernel, mode=mode),
+            observability=ObservabilityOptions(
+                collect=Collect(sample_interval=sample_interval)),
         )
         series = {
             name: result.collector.series(name)
@@ -309,9 +318,10 @@ def check_sharded(
     for label in ("single", "sharded"):
         scenario = build(n_regions, seed=seed)
         result = simulate(
-            scenario, until=until, kernel=kernel,
-            collect=Collect(sample_interval=sample_interval),
-            metrics="on", trace="full", profile=True,
+            scenario, until=until, engine=EngineOptions(kernel=kernel),
+            observability=ObservabilityOptions(
+                collect=Collect(sample_interval=sample_interval),
+                metrics="on", trace="full", profile=True),
             parallel=(ParallelOptions(workers=workers, cut=cut)
                       if label == "sharded" else None),
         )
@@ -402,7 +412,8 @@ def check_storage(
         scenario = fleet_scenario(n_regions, seed=seed)
         if reference:
             use_reference_storage(scenario.topology)
-        result = simulate(scenario, until=until, kernel=kernel)
+        result = simulate(scenario, until=until,
+                          engine=EngineOptions(kernel=kernel))
         storage = {a.name for a in scenario.topology.all_agents()
                    if isinstance(a, StripedStorage)}
         outputs.append((

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from repro.api import Collect, Scenario, simulate
+from repro.api import (
+    CheckpointOptions,
+    Collect,
+    EngineOptions,
+    ObservabilityOptions,
+    Scenario,
+    simulate,
+)
 from repro.core.checkpoint import (
     CHECKPOINT_VERSION,
     read_checkpoint,
@@ -110,8 +117,9 @@ def test_write_checkpoint_leaves_no_tmp_file(tmp_path):
 
 
 def test_checkpoint_every_requires_path():
-    with pytest.raises(ConfigurationError, match="checkpoint_path"):
-        simulate(portal_scenario(), until=10.0, checkpoint_every=5.0)
+    with pytest.raises(ConfigurationError, match="CheckpointOptions.path"):
+        simulate(portal_scenario(), until=10.0,
+                 checkpoint=CheckpointOptions(every=5.0))
 
 
 def test_arm_checkpoints_validates_cadence(tmp_path):
@@ -149,9 +157,9 @@ def test_interrupted_then_resumed_equals_uninterrupted(tmp_path):
 
     # the uninterrupted reference (same checkpoint cadence: the monitor
     # takes part in adaptive step selection)
-    full = simulate(portal_scenario(), until=90.0,
-                    collect=Collect(sample_interval=5.0),
-                    checkpoint_every=30.0, checkpoint_path=ref_ck)
+    observe = ObservabilityOptions(collect=Collect(sample_interval=5.0))
+    full = simulate(portal_scenario(), until=90.0, observability=observe,
+                    checkpoint=CheckpointOptions(every=30.0, path=ref_ck))
 
     # an "interrupted" run: dies at t=45 with its last checkpoint at 30
     scn = portal_scenario()
@@ -163,34 +171,83 @@ def test_interrupted_then_resumed_equals_uninterrupted(tmp_path):
     session.sim.run(45.0)
     assert read_checkpoint(ck)["time"] == pytest.approx(30.0)
 
-    resumed = simulate(portal_scenario(), resume_from=ck,
-                       collect=Collect(sample_interval=5.0))
+    resumed = simulate(portal_scenario(),
+                       checkpoint=CheckpointOptions(resume_from=ck),
+                       observability=observe)
     assert resumed.until == 90.0  # horizon recovered from the checkpoint
     assert result_key(resumed) == result_key(full)  # bit-exact
 
 
 def test_resume_rejects_wrong_scenario(tmp_path):
     ck = tmp_path / "ck.json"
-    simulate(portal_scenario(), until=30.0, checkpoint_every=10.0,
-             checkpoint_path=ck)
+    simulate(portal_scenario(), until=30.0,
+             checkpoint=CheckpointOptions(every=10.0, path=ck))
     with pytest.raises(CheckpointError, match="checkpoint is for scenario"):
-        simulate(portal_scenario(seed=99), resume_from=ck)
+        simulate(portal_scenario(seed=99),
+                 checkpoint=CheckpointOptions(resume_from=ck))
 
 
 def test_resume_rejects_horizon_before_checkpoint(tmp_path):
     ck = tmp_path / "ck.json"
-    simulate(portal_scenario(), until=30.0, checkpoint_every=10.0,
-             checkpoint_path=ck)
+    simulate(portal_scenario(), until=30.0,
+             checkpoint=CheckpointOptions(every=10.0, path=ck))
     with pytest.raises(CheckpointError, match="before the checkpoint"):
-        simulate(portal_scenario(), resume_from=ck, until=5.0)
+        simulate(portal_scenario(), until=5.0,
+                 checkpoint=CheckpointOptions(resume_from=ck))
 
 
 def test_resume_detects_state_drift(tmp_path):
     ck = tmp_path / "ck.json"
-    simulate(portal_scenario(), until=30.0, checkpoint_every=10.0,
-             checkpoint_path=ck)
+    simulate(portal_scenario(), until=30.0,
+             checkpoint=CheckpointOptions(every=10.0, path=ck))
     doc = json.loads(ck.read_text())
     doc["fingerprint"]["hash"] = "0" * 64  # simulate code/config drift
     ck.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match="does not match"):
-        simulate(portal_scenario(), resume_from=ck, until=60.0)
+        simulate(portal_scenario(), until=60.0,
+                 checkpoint=CheckpointOptions(resume_from=ck))
+
+
+def _interrupted(tmp_path, mode="event"):
+    """A run toward t=60 that dies at t=45, its last checkpoint at 40."""
+    ck = tmp_path / "ck.json"
+    session = portal_scenario().prepare(mode=mode)
+    session._until = 60.0
+    session.arm_checkpoints(10.0, ck)
+    session._workloads_started = True
+    session._start_workloads(60.0)
+    session.sim.run(45.0)
+    return ck
+
+
+@pytest.mark.parametrize("mode", ["event", "adaptive"])
+@pytest.mark.parametrize("invariants", ["strict", "full"])
+def test_resume_keeps_the_invariant_checker(tmp_path, mode, invariants):
+    """The replayed and continued run is checked like a fresh one."""
+    ck = _interrupted(tmp_path, mode)
+    resumed = simulate(
+        portal_scenario(),
+        observability=ObservabilityOptions(invariants=invariants),
+        checkpoint=CheckpointOptions(resume_from=ck))
+    report = resumed.invariant_report()
+    assert report is not None
+    assert report["ok"], report["violations"]
+    assert report["boundaries"] > 0
+    assert resumed.mode == mode  # the checkpoint's mode
+    assert resumed.until == 60.0
+
+
+@pytest.mark.parametrize("engine", [
+    EngineOptions(mode="adaptive"),
+    EngineOptions(dt=0.05),
+])
+def test_resume_rejects_an_engine_unlike_the_checkpoint(tmp_path, engine):
+    """An explicit engine= must match the checkpoint's mode and dt."""
+    ck = _interrupted(tmp_path)
+    with pytest.raises(CheckpointError, match="checkpoint was written in"):
+        simulate(portal_scenario(), engine=engine,
+                 checkpoint=CheckpointOptions(resume_from=ck))
+    same = simulate(portal_scenario(),
+                    engine=EngineOptions(mode="event", dt=0.01),
+                    checkpoint=CheckpointOptions(resume_from=ck))
+    assert same.until == 60.0

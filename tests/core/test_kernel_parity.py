@@ -17,7 +17,7 @@ import dataclasses
 
 import pytest
 
-from repro.api import simulate
+from repro.api import EngineOptions, simulate
 from repro.verification.oracles import run_sweeps, standard_sweeps
 
 KERNELS = ("scalar", "vector")
@@ -109,9 +109,10 @@ def test_oracle_estimates_identical_across_kernels():
 def test_event_adaptive_parity(kernel, spec):
     """The exact-event contract holds under each kernel on its own."""
     seed = 3
-    ev = simulate(spec, until=40.0, seed=seed, mode="event", kernel=kernel)
-    ad = simulate(spec, until=40.0, seed=seed, mode="adaptive",
-                  kernel=kernel)
+    ev = simulate(spec, until=40.0, seed=seed,
+                  engine=EngineOptions(mode="event", kernel=kernel))
+    ad = simulate(spec, until=40.0, seed=seed,
+                  engine=EngineOptions(mode="adaptive", kernel=kernel))
     a, b = _signature(ev), _signature(ad)
     assert a == b, _diff_message(
         f"{spec} kernel={kernel} event vs adaptive", seed, a, b)
@@ -127,8 +128,10 @@ def test_scalar_vector_agreement(spec):
     (:mod:`repro.hardware.storage`), so ``queue_hwm`` is compared too.
     """
     seed = 3
-    rs = simulate(spec, until=40.0, seed=seed, kernel="scalar")
-    rv = simulate(spec, until=40.0, seed=seed, kernel="vector")
+    rs = simulate(spec, until=40.0, seed=seed,
+                  engine=EngineOptions(kernel="scalar"))
+    rv = simulate(spec, until=40.0, seed=seed,
+                  engine=EngineOptions(kernel="vector"))
     a = _signature(rs)
     b = _signature(rv)
     assert a == b, _diff_message(f"{spec} scalar vs vector", seed, a, b)

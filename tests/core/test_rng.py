@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.api import Collect, Scenario, simulate
+from repro.api import Collect, ObservabilityOptions, Scenario, simulate
 from repro.core.rng import RandomStreams
 from repro.software.application import Application
 from repro.software.message import CLIENT, MessageSpec
@@ -92,7 +92,8 @@ def tiny_scenario() -> Scenario:
 
 def run_series(seed=None):
     result = simulate(tiny_scenario(), until=60.0, seed=seed,
-                      collect=Collect(sample_interval=5.0))
+                      observability=ObservabilityOptions(
+                          collect=Collect(sample_interval=5.0)))
     series = result.series("cpu.DNA.app")
     records = [(r.operation, r.start, r.end) for r in result.records]
     return series, records

@@ -18,7 +18,13 @@ import random
 
 import pytest
 
-from repro.api import Collect, Scenario, simulate
+from repro.api import (
+    Collect,
+    EngineOptions,
+    ObservabilityOptions,
+    Scenario,
+    simulate,
+)
 from repro.core.checkpoint import state_fingerprint
 from repro.software.application import Application
 from repro.software.message import CLIENT, MessageSpec
@@ -70,8 +76,10 @@ def random_scenario(seed: int) -> Scenario:
 
 
 def run_mode(seed: int, mode: str, dt: float = 0.01):
-    return simulate(random_scenario(seed), until=HORIZON_S, dt=dt, mode=mode,
-                    collect=Collect(sample_interval=SAMPLE_S, tier_cpu=True))
+    return simulate(random_scenario(seed), until=HORIZON_S,
+                    engine=EngineOptions(dt=dt, mode=mode),
+                    observability=ObservabilityOptions(collect=Collect(
+                        sample_interval=SAMPLE_S, tier_cpu=True)))
 
 
 def exact_key(result):

@@ -119,3 +119,37 @@ def test_ts_validation():
         TimeSharedCPU("c", frequency_hz=1e9, cores=0)
     with pytest.raises(ValueError):
         TimeSharedCPU("c", frequency_hz=1e9, quantum_s=0.0)
+
+
+def test_repairing_a_running_cpu_keeps_its_schedule():
+    """repair() of a CPU that never failed leaves its work as it is."""
+    sim = Simulator()
+    cpu = sim.add_agent(TimeSharedCPU("c", frequency_hz=1e9, cores=1))
+    done = []
+    cpu.submit(Job(1e9, on_complete=lambda j, t: done.append(t)), 0.0)
+    sim.schedule(0.5, cpu.repair)
+    sim.run(5.0)
+    assert done == [1.0]
+    assert cpu.busy_time == 1.0
+
+
+@pytest.mark.parametrize("crash", [False, True])
+def test_cpu_failed_by_its_own_completion_stops_admitting(crash):
+    """A continuation that fails the CPU stops its event loop: a thread
+    due at the failure instant starts at the repair."""
+    sim = Simulator()
+    cpu = sim.add_agent(TimeSharedCPU("c", frequency_hz=1e9, cores=1))
+
+    def fail_cpu(job, t):
+        cpu.fail(crash=crash, now=t)
+        sim.schedule(6.0, cpu.repair)
+
+    ended = []
+    cpu.submit(Job(1e9, on_complete=fail_cpu), 0.0)
+    second = Job(1e9, on_complete=lambda j, t: ended.append(t),
+                 not_before=1.0)
+    cpu.submit(second, 0.0)
+    sim.run(10.0)
+    assert second.start_time == 6.0
+    assert ended == [7.0]
+    assert cpu.busy_time == 2.0

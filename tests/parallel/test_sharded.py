@@ -118,28 +118,14 @@ def test_supervisor_options_validate():
             opts.status_path) == (0.0, None, "abort", "run.status")
 
 
-def test_grouped_and_flat_observability_clash():
-    sc = fleet_scenario(2)
-    with pytest.raises(ConfigurationError, match="collect"):
-        simulate(sc, until=1.0, collect=Collect(sample_interval=1.0),
-                 observability=ObservabilityOptions(
-                     collect=Collect(sample_interval=2.0)))
-
-
-def test_grouped_options_delegate_like_flat():
-    sc = fleet_scenario(1)
-    grouped = simulate(
-        sc, until=2.0,
-        observability=ObservabilityOptions(
-            collect=Collect(sample_interval=1.0), metrics="on"),
-    )
-    flat = simulate(
-        fleet_scenario(1), until=2.0,
-        collect=Collect(sample_interval=1.0), metrics="on",
-    )
-    assert (sorted(grouped.metrics.fingerprint_lines())
-            == sorted(flat.metrics.fingerprint_lines()))
-    assert len(grouped.collector.samples) == len(flat.collector.samples)
+@pytest.mark.parametrize("keyword", [
+    "dt", "mode", "kernel", "trace", "profile", "collect", "metrics", "slo",
+    "invariants", "checkpoint_every", "checkpoint_path", "resume_from",
+])
+def test_flat_simulate_keywords_removed(keyword):
+    """Each setting has one spelling: its field in an option group."""
+    with pytest.raises(TypeError, match=keyword):
+        simulate(fleet_scenario(1), until=1.0, **{keyword: None})
 
 
 def test_checkpoint_group_validates_like_flat(tmp_path):
@@ -166,21 +152,25 @@ def test_parallel_accepts_trace_and_profile():
 def test_parallel_rejects_checkpointing_per_feature():
     sc = fleet_scenario(2)
     with pytest.raises(ConfigurationError, match="ROADMAP.*checkpoint"):
-        simulate(sc, until=1.0, checkpoint_every=0.5, checkpoint_path="x",
+        simulate(sc, until=1.0,
+                 checkpoint=CheckpointOptions(every=0.5, path="x"),
                  parallel=ParallelOptions(workers=2))
 
 
 def test_parallel_rejects_resume_per_feature(tmp_path):
     sc = fleet_scenario(2)
     with pytest.raises(ConfigurationError, match="resume"):
-        simulate(sc, until=1.0, resume_from=tmp_path / "ck.json",
+        simulate(sc, until=1.0,
+                 checkpoint=CheckpointOptions(
+                     resume_from=tmp_path / "ck.json"),
                  parallel=ParallelOptions(workers=2))
 
 
 def test_parallel_rejects_invariants_per_feature():
     sc = fleet_scenario(2)
     with pytest.raises(ConfigurationError, match="invariant"):
-        simulate(sc, until=1.0, invariants="strict",
+        simulate(sc, until=1.0,
+                 observability=ObservabilityOptions(invariants="strict"),
                  parallel=ParallelOptions(workers=2))
 
 
@@ -189,7 +179,8 @@ def test_parallel_rejects_prebuilt_recorder():
 
     sc = fleet_scenario(2)
     with pytest.raises(ConfigurationError, match="spec string"):
-        simulate(sc, until=1.0, trace=TraceRecorder(),
+        simulate(sc, until=1.0,
+                 observability=ObservabilityOptions(trace=TraceRecorder()),
                  parallel=ParallelOptions(workers=2))
 
 
@@ -202,7 +193,8 @@ def test_window_cannot_exceed_lookahead():
 
 
 def test_workers_one_is_single_process_with_report():
-    result = simulate(fleet_scenario(1), until=2.0, metrics="on",
+    result = simulate(fleet_scenario(1), until=2.0,
+                      observability=ObservabilityOptions(metrics="on"),
                       parallel=ParallelOptions(workers=1))
     report = result.parallel
     assert report.workers == 1
@@ -227,14 +219,14 @@ def test_sharded_run_without_receivers_matches_single_process():
 
 @pytest.mark.slow
 def test_sharded_merges_metrics_and_telemetry():
+    observe = ObservabilityOptions(metrics="on",
+                                   collect=Collect(sample_interval=1.0))
     result = simulate(
-        fleet_scenario(2), until=4.0, metrics="on",
-        collect=Collect(sample_interval=1.0),
+        fleet_scenario(2), until=4.0, observability=observe,
         parallel=ParallelOptions(workers=2),
     )
     single = simulate(
-        fleet_scenario(2), until=4.0, metrics="on",
-        collect=Collect(sample_interval=1.0),
+        fleet_scenario(2), until=4.0, observability=observe,
     )
     assert (sorted(result.metrics.fingerprint_lines())
             == sorted(single.metrics.fingerprint_lines()))
@@ -289,7 +281,8 @@ def test_windowed_shard_records_one_engine_run():
     not just the last window."""
     from repro.verification.parity import sharded_fleet_scenario
 
-    result = simulate(sharded_fleet_scenario(4), until=10.0, metrics="on",
+    result = simulate(sharded_fleet_scenario(4), until=10.0,
+                      observability=ObservabilityOptions(metrics="on"),
                       parallel=ParallelOptions(workers=2))
     gauges = result.metrics.to_dict()["gauges"]
     assert result.metrics.counter("engine_runs_total").value == 2

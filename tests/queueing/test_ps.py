@@ -80,3 +80,36 @@ def test_ps_respects_not_before_guard():
     q.submit(Job(1.0, on_complete=lambda j, t: done.append(t), not_before=0.5), 0.0)
     sim.run(2.0)
     assert done[0] >= 0.6 - 0.03
+
+
+def test_repairing_a_running_link_keeps_its_schedule():
+    """repair() of a link that never failed leaves its work as it is."""
+    sim = Simulator()
+    q = sim.add_agent(PSQueue("l", rate=1.0))
+    done = []
+    q.submit(Job(1.0, on_complete=lambda j, t: done.append(t)), 0.0)
+    sim.schedule(0.5, q.repair)
+    sim.run(5.0)
+    assert done == [1.0]
+    assert q.busy_time == 1.0
+
+
+@pytest.mark.parametrize("crash", [False, True])
+def test_link_failed_by_its_own_completion_stops_admitting(crash):
+    """A continuation that fails the link it just left stops the link's
+    event loop: the next job starts at the repair, not at the failure."""
+    sim = Simulator()
+    q = sim.add_agent(PSQueue("l", rate=1.0, k=1))
+
+    def fail_link(job, t):
+        q.fail(crash=crash, now=t)
+        sim.schedule(6.0, q.repair)
+
+    ended = []
+    q.submit(Job(1.0, on_complete=fail_link), 0.0)
+    second = Job(1.0, on_complete=lambda j, t: ended.append(t))
+    q.submit(second, 0.0)
+    sim.run(10.0)
+    assert second.start_time == 6.0
+    assert ended == [7.0]
+    assert q.busy_time == 2.0

@@ -42,9 +42,8 @@ class EagerPS(PSQueue):
         self._advance_to(now)
         self._reschedule()
 
-    # nothing is left pending for a failure or repair to catch up on
+    # nothing is left pending for a failure to catch up on
     fail = Agent.fail
-    repair = Agent.repair
 
 
 def _random_case(seed: int) -> dict:

@@ -75,19 +75,20 @@ def test_scenario_from_spec_unknown():
 
 
 def test_simulate_requires_until_for_des():
-    from repro.api import simulate
+    from repro.api import EngineOptions, simulate
     from repro.core.errors import ConfigurationError
 
     with pytest.raises(ConfigurationError):
         simulate("consolidation")
     with pytest.raises(ConfigurationError):
-        simulate("consolidation", until=10.0, mode="warp")
+        simulate("consolidation", until=10.0,
+                 engine=EngineOptions(mode="warp"))
 
 
 def test_simulate_fluid_mode_returns_study_solver():
-    from repro.api import simulate
+    from repro.api import EngineOptions, simulate
 
-    result = simulate("consolidation", mode="fluid")
+    result = simulate("consolidation", engine=EngineOptions(mode="fluid"))
     assert result.mode == "fluid"
     assert result.fluid is not None
     assert result.study is not None

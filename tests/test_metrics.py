@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from repro.api import simulate
+from repro.api import CheckpointOptions, ObservabilityOptions, simulate
 from repro.observability.compare import (
     DEFAULT_TOLERANCE,
     compare,
@@ -421,7 +421,8 @@ def test_cli_compare_subcommand(tmp_path, capsys):
 # ----------------------------------------------------------------------
 def test_metrics_do_not_perturb_the_simulation():
     plain = simulate(portal_scenario(), until=90.0)
-    metered = simulate(portal_scenario(), until=90.0, metrics="on")
+    metered = simulate(portal_scenario(), until=90.0,
+                       observability=ObservabilityOptions(metrics="on"))
     assert plain.metrics is None and metered.metrics is not None
     assert len(plain.records) == len(metered.records) > 0
     for a, b in zip(plain.records, metered.records):
@@ -439,7 +440,8 @@ def test_unmetered_run_is_structurally_free():
 
 
 def test_metered_run_instruments_hot_seams(tmp_path):
-    result = simulate(portal_scenario(), until=120.0, metrics="on")
+    result = simulate(portal_scenario(), until=120.0,
+                      observability=ObservabilityOptions(metrics="on"))
     reg = result.metrics
     assert reg.value_of("engine_boundaries_total") > 0
     assert reg.value_of("engine_calendar_events_total") > 0
@@ -467,7 +469,8 @@ def test_metered_run_instruments_hot_seams(tmp_path):
 def test_metrics_agree_with_telemetry():
     # parity: the streaming counters and the end-of-run telemetry are
     # two views of the same events
-    result = simulate(portal_scenario(), until=90.0, metrics="on")
+    result = simulate(portal_scenario(), until=90.0,
+                      observability=ObservabilityOptions(metrics="on"))
     reg = result.metrics
     for agent in result.scenario.topology.all_agents():
         if agent._metrics is None:
@@ -483,7 +486,8 @@ def test_simulate_slo_block_reports_and_alerts(tmp_path):
          "quantile": 0.99, "max": 1e-9},
         {"name": "ops-floor", "metric": "operations_total", "min": 1.0},
     ]
-    result = simulate(portal_scenario(), until=120.0, slo=slo)
+    result = simulate(portal_scenario(), until=120.0,
+                      observability=ObservabilityOptions(slo=slo))
     # an slo block forces the registry on even without metrics=
     assert result.metrics is not None
     report = result.slo_report()
@@ -502,10 +506,12 @@ def test_simulate_slo_block_reports_and_alerts(tmp_path):
 
 def test_checkpoint_resume_with_metrics(tmp_path):
     ck = tmp_path / "run.ckpt"
-    straight = simulate(portal_scenario(), until=60.0, metrics="on",
-                        checkpoint_every=25.0, checkpoint_path=ck)
+    straight = simulate(portal_scenario(), until=60.0,
+                        observability=ObservabilityOptions(metrics="on"),
+                        checkpoint=CheckpointOptions(every=25.0, path=ck))
     assert ck.exists()
-    resumed = simulate(portal_scenario(), until=60.0, resume_from=ck)
+    resumed = simulate(portal_scenario(), until=60.0,
+                       checkpoint=CheckpointOptions(resume_from=ck))
     # the checkpoint re-arms metrics so the fingerprint verifies
     assert resumed.metrics is not None
     assert len(resumed.records) == len(straight.records)
@@ -520,7 +526,8 @@ def test_checkpoint_resume_with_metrics(tmp_path):
 # ----------------------------------------------------------------------
 def test_profiler_phase_names_match_engine():
     assert PHASES == ("step_select", "wake", "events", "monitors")
-    result = simulate(portal_scenario(), until=60.0, profile=True)
+    result = simulate(portal_scenario(), until=60.0,
+                      observability=ObservabilityOptions(profile=True))
     prof = result.profile
     summary = prof.summary()
     assert set(summary) == set(PHASES)

@@ -6,7 +6,12 @@ import tracemalloc
 
 import pytest
 
-from repro.api import Collect, Scenario, simulate
+from repro.api import (
+    EngineOptions,
+    ObservabilityOptions,
+    Scenario,
+    simulate,
+)
 from repro.core.engine import Simulator
 from repro.core.job import Job
 from repro.observability import (
@@ -113,7 +118,8 @@ def test_null_trace_is_structurally_free():
 def test_tracing_does_not_perturb_results():
     """Identical seeds with and without tracing → identical records."""
     base = simulate(portal_scenario(), until=120.0)
-    traced = simulate(portal_scenario(), until=120.0, trace="full")
+    traced = simulate(portal_scenario(), until=120.0,
+                      observability=ObservabilityOptions(trace="full"))
     assert len(base.records) == len(traced.records)
     for a, b in zip(base.records, traced.records):
         assert a.operation == b.operation
@@ -126,7 +132,8 @@ def test_tracing_does_not_perturb_results():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [3, 11, 29])
 def test_span_tree_well_formed(seed):
-    result = simulate(portal_scenario(seed=seed), until=150.0, trace="full")
+    result = simulate(portal_scenario(seed=seed), until=150.0,
+                      observability=ObservabilityOptions(trace="full"))
     spans = result.spans()
     cascades = {c.cascade_id: c for c in result.cascades()}
     assert spans and cascades
@@ -150,7 +157,8 @@ def test_span_tree_well_formed(seed):
 
 
 def test_operation_cascades_match_records():
-    result = simulate(portal_scenario(), until=150.0, trace="full")
+    result = simulate(portal_scenario(), until=150.0,
+                      observability=ObservabilityOptions(trace="full"))
     op_cascades = [c for c in result.cascades()
                    if c.operation in ("BROWSE", "FETCH")
                    and not math.isnan(c.end)]
@@ -162,10 +170,14 @@ def test_operation_cascades_match_records():
 
 
 def test_sampling_records_subset_without_perturbing():
-    full = simulate(portal_scenario(), until=150.0, trace="full")
-    sampled = simulate(portal_scenario(), until=150.0, trace="sampling:0.3")
+    full = simulate(portal_scenario(), until=150.0,
+                    observability=ObservabilityOptions(trace="full"))
+    sampled = simulate(portal_scenario(), until=150.0,
+                       observability=ObservabilityOptions(
+                           trace="sampling:0.3"))
     none_sampled = simulate(portal_scenario(), until=150.0,
-                            trace="sampling:0.0")
+                            observability=ObservabilityOptions(
+                                trace="sampling:0.0"))
     assert len(sampled.cascades()) < len(full.cascades())
     assert sampled.trace.sampled_out > 0
     assert len(none_sampled.cascades()) == 0
@@ -177,7 +189,8 @@ def test_sampling_records_subset_without_perturbing():
 
 def test_ring_buffer_eviction():
     rec = TraceRecorder(mode="full", capacity=64)
-    result = simulate(portal_scenario(), until=150.0, trace=rec)
+    result = simulate(portal_scenario(), until=150.0,
+                      observability=ObservabilityOptions(trace=rec))
     assert len(result.spans()) <= 64
     assert rec.evicted_spans > 0
     assert rec.started_cascades > 0
@@ -226,7 +239,8 @@ def test_queue_drop_counter():
 # exporters
 # ----------------------------------------------------------------------
 def test_chrome_trace_export(tmp_path):
-    result = simulate(portal_scenario(), until=120.0, trace="full")
+    result = simulate(portal_scenario(), until=120.0,
+                      observability=ObservabilityOptions(trace="full"))
     path = tmp_path / "trace.json"
     n = result.write_chrome_trace(path)
     doc = json.loads(path.read_text())
@@ -277,7 +291,8 @@ def _synthetic_spans(n, agents=16):
 def test_chrome_trace_file_matches_whole_document_encoding(tmp_path):
     path = tmp_path / "trace.json"
 
-    traced = simulate(portal_scenario(), until=120.0, trace="full")
+    traced = simulate(portal_scenario(), until=120.0,
+                      observability=ObservabilityOptions(trace="full"))
     n = traced.write_chrome_trace(path)
     expected = _dumped_trace(traced.spans(), traced.cascades())
     assert path.read_bytes() == expected
@@ -342,7 +357,8 @@ def test_waterfall_without_spans_renders_placeholder():
 
 
 def test_des_waterfall_renders():
-    result = simulate(portal_scenario(), until=120.0, trace="full")
+    result = simulate(portal_scenario(), until=120.0,
+                      observability=ObservabilityOptions(trace="full"))
     text = result.waterfall("BROWSE")
     assert "BROWSE" in text
     assert "total" in text
@@ -360,7 +376,7 @@ def test_format_waterfall_totals():
 def test_fluid_waterfall_matches_response_pipeline():
     from repro.fluid.spans import synthesize_spans
 
-    result = simulate("consolidation", mode="fluid")
+    result = simulate("consolidation", engine=EngineOptions(mode="fluid"))
     solver = result.fluid
     app = next(a for a in result.scenario.applications if a.name == "CAD")
     for op_name in ("OPEN", "SAVE", "LOGIN"):
@@ -376,7 +392,8 @@ def test_fluid_waterfall_matches_response_pipeline():
 # profiler
 # ----------------------------------------------------------------------
 def test_engine_profiler_phases():
-    result = simulate(portal_scenario(), until=60.0, profile=True)
+    result = simulate(portal_scenario(), until=60.0,
+                      observability=ObservabilityOptions(profile=True))
     prof = result.profile
     assert prof is not None
     assert prof.ticks > 0
@@ -456,7 +473,8 @@ def test_merged_profile_aggregates():
 def test_parent_links_chain_through_cascade_legs():
     """Within one cascade, each leg's span links to the span that
     submitted it — the FETCH pipeline forms one root-anchored tree."""
-    result = simulate(portal_scenario(), until=150.0, trace="full")
+    result = simulate(portal_scenario(), until=150.0,
+                      observability=ObservabilityOptions(trace="full"))
     for cid, spans in result.trace.spans_by_cascade().items():
         ids = {s.span_id for s in spans}
         roots = [s for s in spans if s.parent_id is None]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Collect, simulate
+from repro.api import Collect, ObservabilityOptions, simulate
 from repro.core import Job, Simulator
 from repro.core.errors import InvariantViolation
 from repro.queueing import FCFSQueue
@@ -212,8 +212,10 @@ def test_littles_law_flags_a_hidden_queue(rng):
 # end-to-end wiring through simulate()
 # ----------------------------------------------------------------------
 def test_simulate_threads_the_checker_and_reports():
-    result = simulate("consolidation", until=60.0, invariants="strict",
-                      collect=Collect(sample_interval=6.0))
+    result = simulate("consolidation", until=60.0,
+                      observability=ObservabilityOptions(
+                          invariants="strict",
+                          collect=Collect(sample_interval=6.0)))
     rep = result.invariant_report()
     assert rep is not None and rep["ok"]
     assert rep["mode"] == "strict"
@@ -221,8 +223,10 @@ def test_simulate_threads_the_checker_and_reports():
 
 
 def test_full_spec_on_a_metered_run():
-    result = simulate("consolidation", until=60.0, invariants="full",
-                      metrics="on", collect=Collect(sample_interval=6.0))
+    result = simulate("consolidation", until=60.0,
+                      observability=ObservabilityOptions(
+                          invariants="full", metrics="on",
+                          collect=Collect(sample_interval=6.0)))
     rep = result.invariant_report()
     assert rep["ok"]
     assert set(rep["checks"]) == set(ALL_CHECKS)
@@ -233,8 +237,9 @@ def test_armed_run_is_bit_identical_to_unchecked():
     outputs = []
     for invariants in (None, "strict"):
         result = simulate("consolidation", until=60.0,
-                          invariants=invariants,
-                          collect=Collect(sample_interval=6.0))
+                          observability=ObservabilityOptions(
+                              invariants=invariants,
+                              collect=Collect(sample_interval=6.0)))
         records = [(r.operation, r.start, r.end, r.failed)
                    for r in result.records]
         series = {name: result.collector.series(name)
