@@ -1379,9 +1379,14 @@ def _resume(
         # the interrupted run's exact step sequence
         session.arm_checkpoints(
             every, ckpt.path if ckpt.path is not None else resume_from)
+    # the arrivals draw up to their horizon, so the replay uses the
+    # horizon the checkpoint was written under
+    replay_until = doc.get("until")
+    if replay_until is None:
+        replay_until = until
     if workloads:
         session._workloads_started = True
-        session._start_workloads(until)
+        session._start_workloads(replay_until)
     session.sim.run(t_checkpoint)
     fingerprint = state_fingerprint(session)
     if fingerprint["hash"] != doc["fingerprint"]["hash"]:
@@ -1394,6 +1399,9 @@ def _resume(
         session.events.emit("resume", session.sim.now,
                             checkpoint=str(resume_from),
                             fingerprint=fingerprint["hash"])
+    for wl in session.workloads:
+        # a later horizon continues the arrivals as a fresh run to it
+        wl.extend(until)
     session.sim.run(until)
     return session.result(until)
 

@@ -207,21 +207,6 @@ class Simulator:
             # the agent slept through prior boundaries; bring it current
             agent.local_time = max(agent.local_time, self.clock.now)
 
-    def _flush_dirty(self) -> None:
-        """Re-key every marked agent's wake-heap entry (lazy deletion)."""
-        dirty = self._dirty
-        if not dirty:
-            return
-        wakes = self._wakes
-        counter = self._wake_counter
-        for agent in dirty:
-            t = agent.next_event_time()
-            if t != agent._wake_at:
-                agent._wake_at = t
-                if t != _INF:
-                    heapq.heappush(wakes, (t, next(counter), agent))
-        dirty.clear()
-
     def add_holon(self, holon: Holon) -> Holon:
         """Register every agent of a holarchy with the kernel."""
         for agent in holon.agents():
@@ -364,20 +349,172 @@ class Simulator:
     def _advance(self, until: float) -> None:
         """The boundary loop: process every boundary up to ``until``,
         then land exactly on ``until`` and drain anything due there
-        (including events scheduled by horizon-time events)."""
+        (including events scheduled by horizon-time events).
+
+        One loop serves all three modes, the profiled path and the
+        horizon drain; the hot state is bound to locals once per call,
+        so a boundary makes no helper calls.  Each boundary runs, in
+        order: flush the re-key set (event mode), select the boundary,
+        set the clock, advance the due agents in activation order,
+        re-key them and prune the idle ones, drain the calendar, and
+        run the monitor phase when a monitor is due."""
         prof = self.profiler
         clk = _time.perf_counter
+        met = self.metrics
+        wake_counts = self._m_wake_counts if met is not None else None
+        clock = self.clock
+        mode = self.mode
+        event_mode = mode == "event"
+        fixed = mode == "fixed"
+        dt = clock.dt
+        cal = self._calendar
+        mh = self._monitor_heap
+        wakes = self._wakes
+        dirty = self._dirty
+        active = self._active
+        counter = self._wake_counter
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        horizon = until + 1e-9
+
+        def seq_of(agent: Agent) -> int:
+            return active.get(agent, 0)
+
+        last = False
         while True:
             t0 = clk() if prof is not None else 0.0
-            t = self._next_boundary(until)
+            # --- re-key every agent marked since the last boundary
+            if dirty:
+                for agent in dirty:
+                    w = agent.next_event_time()
+                    if w != agent._wake_at:
+                        agent._wake_at = w
+                        if w != _INF:
+                            heappush(wakes, (w, next(counter), agent))
+                dirty.clear()
+            # --- select the boundary
+            now = clock.now
+            if last:
+                t = now
+            else:
+                if fixed:
+                    t = (now + min(dt, until - now)
+                         if now < until - 1e-9 else None)
+                else:
+                    t = cal[0][0] if cal else _INF
+                    if mh and mh[0][0] < t:
+                        t = mh[0][0]
+                    if event_mode:
+                        # peek the wake heap, dropping stale entries
+                        while wakes:
+                            when, _, agent = wakes[0]
+                            if when == agent._wake_at:
+                                if when < t:
+                                    t = when
+                                break
+                            heappop(wakes)
+                    else:  # adaptive: poll every active agent
+                        for agent in active:
+                            ne = agent.next_event_time()
+                            if ne < t:
+                                t = ne
+                    if t > horizon:
+                        t = None
+                    elif t < now:
+                        t = now
+                if prof is not None:
+                    prof.record("step_select", clk() - t0)
+                if t is None:
+                    # nothing more is due by the horizon: land on it and
+                    # run one last boundary there
+                    last = True
+                    t = until if now < until else now
+            if t > now:
+                now = clock.now = float(t)
+                clock.tick_index += 1
+            limit = now + 1e-9
+            # --- wake phase: advance agents whose events are due
+            t1 = clk() if prof is not None else 0.0
+            if event_mode:
+                due: List[Agent] = []
+                while wakes and wakes[0][0] <= limit:
+                    when, _, agent = heappop(wakes)
+                    if when == agent._wake_at:
+                        # mark consumed so the agent's post-advance
+                        # reschedule re-pushes even if the new time
+                        # happens to match
+                        agent._wake_at = -_INF
+                        due.append(agent)
+                if len(due) > 1:
+                    due.sort(key=seq_of)
+                for agent in due:
+                    agent.advance_to(now)
+                # re-key every due agent: the pop marked ``_wake_at``
+                # consumed, and composite bubble suppression may have
+                # swallowed the agent's own post-advance reschedule, so
+                # the push is unconditional.  Other agents dirtied by the
+                # advances flush at the next boundary.  A finite wake
+                # time proves pending work, so the (recursive, possibly
+                # expensive) idle() scan runs only without one.
+                for agent in due:
+                    dirty.pop(agent, None)
+                    w = agent.next_event_time()
+                    agent._wake_at = w
+                    if w != _INF:
+                        heappush(wakes, (w, next(counter), agent))
+                    elif agent.idle():
+                        active.pop(agent, None)
+            else:
+                due = [a for a in active if a.next_event_time() <= limit]
+                for agent in due:
+                    agent.advance_to(now)
+                for agent in due:
+                    if agent.idle():  # may have been refilled mid-loop
+                        active.pop(agent, None)
+                        agent._wake_at = _INF
             if prof is not None:
-                prof.record("step_select", clk() - t0)
-            if t is None:
-                break
-            self._process_boundary(t, prof, clk)
-        if self.clock.now < until:
-            self.clock.advance_to(until)
-        self._process_boundary(self.clock.now, prof, clk)
+                prof.record("wake", clk() - t1, calls=len(due))
+                prof.ticks += 1
+                prof.agent_ticks += len(due)
+            if wake_counts is not None:
+                wake_counts[len(due)] += 1
+            # --- calendar events (chained same-time events drain here)
+            t1 = clk() if prof is not None else 0.0
+            fired = 0
+            while cal and cal[0][0] <= limit:
+                when, _, fn = heappop(cal)
+                fired += 1
+                fn(now if fixed else when)
+            if fired and met is not None:
+                self._m_events.value += fired
+            if prof is not None:
+                prof.record("events", clk() - t1)
+                t1 = clk()
+            # --- monitors
+            if mh and mh[0][0] <= limit:
+                # measurement boundary: bring every active agent current
+                # first so samples see exact busy time and local clocks
+                for agent in list(active):
+                    agent.sync_to(now)
+                # catch up on every missed deadline so averaging windows
+                # stay fixed; ties fire in registration order
+                while mh and mh[0][0] <= limit:
+                    due_at, seq, mon = heappop(mh)
+                    # advance the deadline before the callback: a
+                    # checkpoint taken inside ``fn`` must fingerprint the
+                    # same deadlines a replay (which returns after the
+                    # full monitor phase) would see
+                    mon.next_due = due_at + mon.interval
+                    heappush(mh, (mon.next_due, seq, mon))
+                    mon.fn(due_at)
+                # invariant sweep after the monitor phase: agents are
+                # synced to ``now`` and the checks are pure reads
+                if self.invariants is not None:
+                    self.invariants.on_boundary(now, self)
+            if prof is not None:
+                prof.record("monitors", clk() - t1)
+            if last:
+                return
 
     def _collect_engine_metrics(self, registry: MetricsRegistry) -> None:
         """Collect hook: derive boundary/wake totals and the
@@ -414,156 +551,6 @@ class Simulator:
             am = agent._metrics
             if am is not None:
                 am.arrivals.value = agent.arrivals
-
-    # ------------------------------------------------------------------
-    # boundary selection
-    # ------------------------------------------------------------------
-    def _next_boundary(self, until: float) -> float | None:
-        """Earliest pending boundary, or None when nothing is due by
-        ``until`` (modulo the fixed-mode grid)."""
-        now = self.clock.now
-        if self.mode == "fixed":
-            if now >= until - 1e-9:
-                return None
-            return now + min(self.clock.dt, until - now)
-        cand = _INF
-        if self._calendar:
-            cand = self._calendar[0][0]
-        if self._monitor_heap and self._monitor_heap[0][0] < cand:
-            cand = self._monitor_heap[0][0]
-        if self.mode == "event":
-            if self._dirty:
-                self._flush_dirty()
-            # inline peek of the wake heap (lazy deletion on the fly);
-            # this runs once per boundary, so the call overhead of
-            # ``_peek_wakes`` is worth skipping
-            wakes = self._wakes
-            while wakes:
-                when, _, agent = wakes[0]
-                if when == agent._wake_at:
-                    if when < cand:
-                        cand = when
-                    break
-                heapq.heappop(wakes)
-        else:  # adaptive: poll every active agent
-            for agent in self._active:
-                ne = agent.next_event_time()
-                if ne < cand:
-                    cand = ne
-        if cand > until + 1e-9:
-            return None
-        return cand if cand > now else now
-
-    def _due_agents(self, t: float) -> List[Agent]:
-        """Agents with internal events due at ``t``, in activation order."""
-        limit = t + 1e-9
-        if self.mode == "event":
-            due: List[Agent] = []
-            wakes = self._wakes
-            while wakes and wakes[0][0] <= limit:
-                when, _, agent = heapq.heappop(wakes)
-                if when == agent._wake_at:
-                    # mark consumed so the agent's post-advance reschedule
-                    # re-pushes even if the new time happens to match
-                    agent._wake_at = -_INF
-                    due.append(agent)
-            if len(due) > 1:
-                seq = self._active
-                due.sort(key=lambda a: seq.get(a, 0))
-            return due
-        return [a for a in self._active if a.next_event_time() <= limit]
-
-    # ------------------------------------------------------------------
-    # boundary processing
-    # ------------------------------------------------------------------
-    def _process_boundary(self, t: float, prof, clk) -> None:
-        clock = self.clock
-        event_mode = self.mode == "event"
-        if event_mode:
-            # direct callers (the horizon drain in ``run``) may arrive
-            # with pending re-keys from setup or a previous boundary
-            self._flush_dirty()
-        if t > clock.now:
-            clock.advance_to(t)
-        now = clock.now
-        # --- wake phase: advance agents whose events are due
-        t0 = clk() if prof is not None else 0.0
-        due = self._due_agents(now)
-        for agent in due:
-            agent.advance_to(now)
-        if event_mode:
-            # re-key every due agent inline: the pop marked ``_wake_at``
-            # consumed (-inf), and composite bubble suppression may have
-            # swallowed the agent's own post-advance reschedule, so the
-            # push is unconditional.  Other agents dirtied during the
-            # advances flush lazily at the next boundary selection.
-            dirty = self._dirty
-            wakes = self._wakes
-            counter = self._wake_counter
-            for agent in due:
-                dirty.pop(agent, None)
-                t = agent.next_event_time()
-                agent._wake_at = t
-                if t != _INF:
-                    heapq.heappush(wakes, (t, next(counter), agent))
-        for agent in due:
-            # a finite wake time proves pending work, so the (recursive,
-            # possibly expensive) idle() scan is only needed without one
-            if event_mode and agent._wake_at != _INF:
-                continue
-            if agent.idle():  # may have been refilled mid-loop
-                self._active.pop(agent, None)
-                agent._wake_at = _INF
-        if prof is not None:
-            prof.record("wake", clk() - t0, calls=len(due))
-            prof.ticks += 1
-            prof.agent_ticks += len(due)
-        met = self.metrics
-        if met is not None:
-            self._m_wake_counts[len(due)] += 1
-        # --- calendar events (chained same-time events drain here)
-        t1 = clk() if prof is not None else 0.0
-        fixed = self.mode == "fixed"
-        cal = self._calendar
-        limit = now + 1e-9
-        fired = 0
-        while cal and cal[0][0] <= limit:
-            when, _, fn = heapq.heappop(cal)
-            fired += 1
-            fn(now if fixed else when)
-        if met is not None and fired:
-            self._m_events.value += fired
-        if prof is not None:
-            prof.record("events", clk() - t1)
-        # --- monitors
-        t2 = clk() if prof is not None else 0.0
-        self._fire_monitors(now)
-        if prof is not None:
-            prof.record("monitors", clk() - t2)
-
-    def _fire_monitors(self, now: float) -> None:
-        mh = self._monitor_heap
-        limit = now + 1e-9
-        if not mh or mh[0][0] > limit:
-            return
-        # measurement boundary: bring every active agent current first so
-        # samples see exact busy time and local clocks
-        for agent in list(self._active):
-            agent.sync_to(now)
-        # catch up on every missed deadline so averaging windows stay
-        # fixed; ties fire in registration order
-        while mh and mh[0][0] <= limit:
-            due, seq, mon = heapq.heappop(mh)
-            # advance the deadline before the callback: a checkpoint taken
-            # inside ``fn`` must fingerprint the same deadlines a replay
-            # (which returns after the full monitor phase) would see
-            mon.next_due = due + mon.interval
-            heapq.heappush(mh, (mon.next_due, seq, mon))
-            mon.fn(due)
-        # invariant sweep after the monitor phase: agents are synced to
-        # ``now`` and the checks are pure reads (observe, never perturb)
-        if self.invariants is not None:
-            self.invariants.on_boundary(now, self)
 
     # ------------------------------------------------------------------
     @property

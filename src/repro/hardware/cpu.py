@@ -97,11 +97,19 @@ class CPU(CompositeAgent):
         """Uncontended service time for a ``cycles`` demand on one core."""
         return cycles / self.frequency_hz
 
+    # plain loops: the invariant checker reads both on every sweep, and
+    # a generator costs more than the one or two sockets it walks
     def _completions(self) -> int:
-        return sum(q.completed_count for q in self.socket_queues)
+        n = 0
+        for q in self.socket_queues:
+            n += q.completed_count
+        return n
 
     def _busy_seconds(self) -> float:
-        return sum(q.busy_time for q in self.socket_queues)
+        busy = 0.0
+        for q in self.socket_queues:
+            busy += q.busy_time
+        return busy
 
     def _telemetry_extras(self) -> Dict[str, float]:
         return {

@@ -14,14 +14,13 @@ re-plan that lane.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List
 
 from repro.core.agent import Agent
-from repro.hardware.storage import Stage, StripedStorage
+from repro.hardware.storage import HitStream, Stage, StripedStorage
 
 
-class _Drive(Agent):
+class _Drive(Agent, HitStream):
     """What every disk has: its two stages, its cache-hit stream and
     counters, and its telemetry.  ``_array`` is the schedule that plans
     the stages (the disk itself, or the array it is a member of)."""
@@ -36,7 +35,7 @@ class _Drive(Agent):
         self.dcc = Stage(f"{name}.dcc", rate=controller_bps, servers=1)
         self.hdd = Stage(f"{name}.hdd", rate=drive_bps, servers=1)
         self.cache_hit_rate = float(cache_hit_rate)
-        self._rng = random.Random(seed)
+        self._seed = seed
         self.cache_hits = 0
         self.cache_misses = 0
         self.completed_count = 0

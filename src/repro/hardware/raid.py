@@ -9,7 +9,6 @@ schedule is computed at admission (:mod:`repro.hardware.storage`).
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List
 
 from repro.hardware.disk import MemberDisk
@@ -63,7 +62,7 @@ class RAID(StripedStorage):
             for i in range(n_disks)
         ]
         self.array_cache_hit_rate = float(array_cache_hit_rate)
-        self._rng = random.Random(seed)
+        self._seed = seed
         self.cache_hits = 0
         self.cache_misses = 0
         self.completed_count = 0
@@ -78,7 +77,9 @@ class RAID(StripedStorage):
 
     # ------------------------------------------------------------------
     def _draw_array_hit(self) -> bool:
-        hit = self._rng.random() < self.array_cache_hit_rate
+        # a cold array cache cannot hit: it draws no number
+        rate = self.array_cache_hit_rate
+        hit = rate > 0.0 and self._rng.random() < rate
         if hit:
             self.cache_hits += 1
         else:

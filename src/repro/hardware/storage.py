@@ -39,6 +39,7 @@ reference path in :mod:`repro.verification.storage`.
 
 from __future__ import annotations
 
+import random
 from heapq import heappop, heappush
 from typing import Dict, List
 
@@ -102,6 +103,28 @@ class Stage(FCFSQueue):
         self._completed = value
 
 
+class HitStream:
+    """The cache-hit stream (``_rng``) of a disk or array, seeded from
+    ``_seed`` on first use: a cache whose hit rate is 0 never draws, so
+    it never pays for a generator (about 3 kB each).  Listed after
+    ``Agent`` in the bases, so a built composite keeps the instance
+    layout that lets it switch class (``as_reference``)."""
+
+    __slots__ = ()  # the agent's instance dict holds the state
+    _seed = None
+    _stream = None
+
+    @property
+    def _rng(self) -> random.Random:
+        if self._stream is None:
+            self._stream = random.Random(self._seed)
+        return self._stream
+
+    @_rng.setter
+    def _rng(self, rng: random.Random) -> None:
+        self._stream = rng
+
+
 class _Request:
     """One admitted request: its stage spans and join bookkeeping.
 
@@ -136,7 +159,7 @@ class _Request:
         self.uniform = False
 
 
-class StripedStorage(Agent):
+class StripedStorage(Agent, HitStream):
     """Engine agent scheduling a storage composite in closed form.
 
     Subclasses build their stages and call :meth:`_init_schedule` with
@@ -163,9 +186,10 @@ class StripedStorage(Agent):
         self._ffree = [0.0] * F
         self._dfree = [0.0] * n
         self._hfree = [0.0] * n
-        self._lane_draw = [lane._rng.random for lane in self._lanes]
         self._lane_rate = [lane.cache_hit_rate for lane in self._lanes]
         self._cold = not any(r > 0.0 for r in self._lane_rate)
+        self._lane_draw = (None if self._cold else
+                           [lane._rng.random for lane in self._lanes])
         # a bare Disk is its own single lane: its counters are its own
         self._members = bool(n) and self._lanes[0] is not self
         # lane draws not yet credited to the lanes' cache counters
@@ -175,6 +199,9 @@ class StripedStorage(Agent):
         #: requests whose spans still owe busy time, in admission order
         self._rows: List[_Request] = []
         self._commit_at = COMMIT_ROWS
+        #: stage completions of lane 0 and stripes finished per lane that
+        #: the other lanes have not taken yet (see _spread)
+        self._lag = None
         #: (horizon, admissions) when the rows were last folded in
         self._clean = (-_INF, 0)
         #: the composite's busy total, cached between changes
@@ -220,6 +247,7 @@ class StripedStorage(Agent):
         """Give every lane its own state and every row its own spans."""
         if not self._uniform:
             return
+        self._spread()
         self._uniform = False
         self._dfree = [self._ud] * self._n
         self._hfree = [self._uh] * self._n
@@ -271,11 +299,11 @@ class StripedStorage(Agent):
 
     def _draw_lanes(self):
         """Per-lane controller-cache draws, in lane order (the fan-out
-        order of the event chain); ``None`` when every lane misses."""
+        order of the event chain); ``None`` when every lane misses.
+        Every round counts toward the lanes' cache counters."""
         self._pend_rounds += 1
         if self._cold:
-            for draw in self._lane_draw:
-                draw()
+            # a cold cache cannot hit: no lane draws a number
             return None
         hits = [d() < r for d, r in zip(self._lane_draw, self._lane_rate)]
         if not any(hits):
@@ -381,8 +409,9 @@ class StripedStorage(Agent):
 
         Each station's counters take one piece per span, in admission
         (= time) order, as a running sum: no piece is pre-summed.  While
-        the rows are uniform the first lane's counters take the lane
-        pieces, and every other lane (equal before) copies them."""
+        the rows are uniform only the first lane's counters take the lane
+        pieces; every other lane (equal before) copies them when next
+        read (:meth:`_spread`)."""
         rows = self._rows
         if not rows:
             return
@@ -400,28 +429,29 @@ class StripedStorage(Agent):
         keep = []
         for rec in rows:
             S = rec.S
+            hit = rec.lane_hit
             alive = False
             for j in range(width):
-                a = S[2 * j]
+                k = j + j
+                a = S[k]
                 if a is None:
                     continue
-                e = S[2 * j + 1]
+                e = S[k + 1]
                 if e <= lim:
                     p = e - a
-                    S[2 * j] = None
+                    S[k] = None
                     busy[j] += p
                     win[j] += p
                     count[j] += 1
                     if j >= F:
-                        i, drive = divmod(j - F, 2)
-                        if drive or (rec.lane_hit is not None
-                                     and rec.lane_hit[i]):
-                            lane_done[i] += 1
+                        o = j - F  # lane o >> 1; drive if odd
+                        if o & 1 or (hit is not None and hit[o >> 1]):
+                            lane_done[o >> 1] += 1
                     continue
                 alive = True
                 if cut and a < t:
                     p = t - a
-                    S[2 * j] = t
+                    S[k] = t
                     busy[j] += p
                     win[j] += p
             if alive:
@@ -438,32 +468,54 @@ class StripedStorage(Agent):
             if count[j]:
                 st._completed += count[j]
         if uniform:
-            d0, h0 = cols[F], cols[F + 1]
-            db, dw, dn = d0._busy, d0._window_busy, count[F]
-            hb, hw, hn = h0._busy, h0._window_busy, count[F + 1]
-            for lane in self._lanes[1:]:
-                q = lane.dcc
-                q._busy = db
-                q._window_busy = dw
-                q._completed += dn
-                q = lane.hdd
-                q._busy = hb
-                q._window_busy = hw
-                q._completed += hn
-            lane_done = lane_done[:1] * self._n
-        if self._members:
+            lag = self._lag or (0, 0, 0)
+            self._lag = (lag[0] + count[F], lag[1] + count[F + 1],
+                         lag[2] + lane_done[0])
+        elif self._members:
             for lane, done in zip(self._lanes, lane_done):
                 if done:
                     lane._completed += done
 
+    def _spread(self) -> None:
+        """Bring every lane up to the first one after uniform commits:
+        the lanes were equal before them and took the same pieces, so
+        they copy its busy sums and add its completions."""
+        if self._lag is None:
+            return
+        dn, hn, done = self._lag
+        self._lag = None
+        lanes = self._lanes
+        d0, h0 = lanes[0].dcc, lanes[0].hdd
+        db, dw = d0._busy, d0._window_busy
+        hb, hw = h0._busy, h0._window_busy
+        for lane in lanes[1:]:
+            q = lane.dcc
+            q._busy = db
+            q._window_busy = dw
+            q._completed += dn
+            q = lane.hdd
+            q._busy = hb
+            q._window_busy = hw
+            q._completed += hn
+        if self._members and done:
+            for lane in lanes:
+                lane._completed += done
+
     def _busy_sum(self) -> float:
         """Busy seconds of every stage: the front stages' sum plus each
-        lane's controller-and-drive sum."""
+        lane's controller-and-drive sum.  Lanes that have not copied the
+        first lane yet (:meth:`_spread`) count with its sum."""
         front = sum(q._busy for q in self._front)
-        return front + sum(d.dcc._busy + d.hdd._busy for d in self._lanes)
+        lanes = self._lanes
+        if self._lag is not None:
+            d = lanes[0]
+            return front + sum([d.dcc._busy + d.hdd._busy] * len(lanes))
+        return front + sum(d.dcc._busy + d.hdd._busy for d in lanes)
 
     def _busy_seconds(self) -> float:
-        self._settled()
+        # the total needs the rows folded in, not the lanes spread
+        if self._rows and self._clean != (self._H, self._seq):
+            self._commit(self._H, cut=False)
         if self._total is None:
             self._total = self._busy_sum()
         return self._total
@@ -484,6 +536,8 @@ class StripedStorage(Agent):
         no-op until the horizon moves or a request arrives)."""
         if self._rows and self._clean != (self._H, self._seq):
             self._commit(self._H, cut=False)
+        if self._lag is not None:
+            self._spread()
 
     # ------------------------------------------------------------------
     # exact-event contract
@@ -526,12 +580,12 @@ class StripedStorage(Agent):
             if pending.get(rec.seq) is rec and rec.join <= lim:
                 self._finish(rec)
         self._next = self._earliest()
-        if not pending:
+        if not pending and not self._uniform:
             # drained: fold every span in, and plan uniform rows again if
-            # the lanes are alike
+            # the lanes are alike.  Uniform rows need no drain commit:
+            # they fold every COMMIT_ROWS admissions, at syncs and on reads
             self._settled()
-            if not self._uniform:
-                self._check_uniform()
+            self._check_uniform()
 
     def _pass_order(self, due: List[_Request]) -> List[_Request]:
         """Firing order of joins due together: by time, except that joins
@@ -594,7 +648,9 @@ class StripedStorage(Agent):
     def _finish(self, rec: _Request) -> None:
         del self._pending[rec.seq]
         self.completed_count += 1
-        rec.job.finish(rec.join)
+        # the row may wait for its fold: it keeps only its spans
+        job, rec.job = rec.job, None
+        job.finish(rec.join)
 
     def sync_to(self, t: float) -> None:
         self.advance_to(t)

@@ -54,6 +54,7 @@ events.  See ``docs/parallel.md``.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import multiprocessing as mp
 import os
@@ -587,15 +588,23 @@ def run_sharded(
     shard_of = {dc: i for i, shard in enumerate(plan.shards) for dc in shard}
     envelopes = 0
     try:
-        for i, p in enumerate(procs):
-            try:
-                p.start()
-            except Exception as exc:
-                raise ConfigurationError(
-                    f"could not ship the scenario to a worker process "
-                    f"under the {start_method!r} start method (is every "
-                    f"setup hook/placement picklable?): {exc}") from exc
-            supervisor.note_started(i)
+        # a forked worker inherits the built scenario: frozen, its objects
+        # stay out of the worker's collections, which would otherwise
+        # walk (and so copy) every inherited page
+        gc.freeze()
+        try:
+            for i, p in enumerate(procs):
+                try:
+                    p.start()
+                except Exception as exc:
+                    raise ConfigurationError(
+                        f"could not ship the scenario to a worker process "
+                        f"under the {start_method!r} start method (is "
+                        f"every setup hook/placement picklable?): {exc}"
+                    ) from exc
+                supervisor.note_started(i)
+        finally:
+            gc.unfreeze()
         # handshake: the fleet's receivers are the union of every
         # shard's on_message data centers.  With none, no envelope can
         # ever be delivered, so the lookahead is infinite and the run

@@ -160,7 +160,8 @@ class FCFSQueue(Agent):
             return
         self._advancing = True
         try:
-            while e <= limit:
+            # a completion continuation may fail the station: stop there
+            while e <= limit and not self._paused:
                 self._process_at(e)
                 e = self._next_internal()
         finally:
@@ -239,7 +240,7 @@ class FCFSQueue(Agent):
                         met.observe_completion(start - enq, t - start,
                                                t - enq)
                     job.finish(t)
-        if self.waiting:
+        if self.waiting and not self._paused:
             self._admit_at(t)
         if t > self._now:
             self._now = t
@@ -271,6 +272,12 @@ class FCFSQueue(Agent):
     # ------------------------------------------------------------------
     # failure semantics
     # ------------------------------------------------------------------
+    def repair(self, now: float) -> None:
+        # a running station has no service to resume, and moving its
+        # clocks to ``now`` would drop the work served since them
+        if self._paused:
+            super().repair(now)
+
     def on_pause(self, now: float | None) -> None:
         """Freeze service: accrue busy time to the failure instant and
         materialize each in-service job's remaining work."""

@@ -285,6 +285,11 @@ class OpenLoopWorkload:
         self.rng = random.Random(seed)
         self.launched = 0
         self._client_pool: List[Client] = []
+        #: arrival horizon: no arrival is drawn at or past it
+        self.until = 0.0
+        # the candidate arrival that stopped the thinning loop at the
+        # horizon (None while an arrival is scheduled)
+        self._stopped_at: float | None = None
 
     def rate_at(self, t: float) -> float:
         """Operation arrival rate (ops/s) at time ``t``."""
@@ -292,33 +297,47 @@ class OpenLoopWorkload:
 
     def start(self, until: float) -> None:
         """Begin generating arrivals via thinning until ``until``."""
-        self._schedule_next(self.sim.now, until)
+        self.until = until
+        self._schedule_next(self.sim.now)
+
+    def extend(self, until: float) -> None:
+        """Move the horizon to a later ``until``.  The arrivals continue
+        exactly as they would in a run started with ``until``: the
+        thinning loop resumes at the candidate the old horizon stopped."""
+        if until <= self.until:
+            return
+        self.until = until
+        t, self._stopped_at = self._stopped_at, None
+        if t is not None:
+            self._thin(t, self._peak_rate())
 
     def _peak_rate(self) -> float:
         return max(self.curve.hourly) * self.scale * self.rate_per_client
 
-    def _schedule_next(self, now: float, until: float) -> None:
+    def _schedule_next(self, now: float) -> None:
         """Ogata thinning for the inhomogeneous Poisson process."""
         lam_max = self._peak_rate()
         if lam_max <= 0:
             return
-        t = now
-        while True:
-            t += self.rng.expovariate(lam_max)
-            if t >= until:
-                return
-            if self.rng.random() <= self.rate_at(t) / lam_max:
-                break
-        self.sim.schedule(t, lambda now2: self._fire(now2, until))
+        self._thin(now + self.rng.expovariate(lam_max), lam_max)
 
-    def _fire(self, now: float, until: float) -> None:
+    def _thin(self, t: float, lam_max: float) -> None:
+        """Accept or reject candidate ``t`` and the ones after it."""
+        while t < self.until:
+            if self.rng.random() <= self.rate_at(t) / lam_max:
+                self.sim.schedule(t, self._fire)
+                return
+            t += self.rng.expovariate(lam_max)
+        self._stopped_at = t
+
+    def _fire(self, now: float) -> None:
         self.launched += 1
         client = self._get_client()
         name = self.mix.draw(self.rng, now)
         self.runner.launch(
             self.operations[name], client, now, application=self.application
         )
-        self._schedule_next(now, until)
+        self._schedule_next(now)
 
     def _get_client(self) -> Client:
         # round-robin over a small pool: client-side agents are shared so

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple,
+    TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple,
 )
 
 from repro.core.errors import InvariantViolation
@@ -83,27 +83,35 @@ class Violation:
         return f"[t={self.time:.6f}] {self.check}{where}: {self.detail}"
 
 
-def _leaf_stations(agents: Iterable["Agent"],
-                   leaf_types: Dict[type, bool]) -> List["Agent"]:
-    """Registered leaf queue stations with crisp 1:1 job accounting.
+def _is_leaf(agent: "Agent", leaf_types: Dict[type, bool]) -> bool:
+    """Whether ``agent`` is a leaf queue station with crisp 1:1 job
+    accounting; ``leaf_types`` memoizes the verdict per agent class."""
+    cls = type(agent)
+    is_leaf = leaf_types.get(cls)
+    if is_leaf is None:
+        from repro.hardware.cpu import CPU, TimeSharedCPU
+        from repro.queueing.fcfs import FCFSQueue
+        from repro.queueing.ps import PSQueue
 
-    ``leaf_types`` memoizes the verdict per agent class: the ABC
-    ``isinstance`` scans would otherwise dominate a per-boundary filter.
-    """
-    from repro.hardware.cpu import CPU, TimeSharedCPU
-    from repro.queueing.fcfs import FCFSQueue
-    from repro.queueing.ps import PSQueue
+        is_leaf = leaf_types[cls] = issubclass(
+            cls, (FCFSQueue, PSQueue, TimeSharedCPU, CPU))
+    return is_leaf
 
-    leaf = (FCFSQueue, PSQueue, TimeSharedCPU, CPU)
-    out = []
-    for a in agents:
-        cls = type(a)
-        is_leaf = leaf_types.get(cls)
-        if is_leaf is None:
-            is_leaf = leaf_types[cls] = issubclass(cls, leaf)
-        if is_leaf:
-            out.append(a)
-    return out
+
+def _ledger_verdict(arrivals: int, completions: int, drops: int,
+                    qlen: int, in_flight: int, is_leaf: bool) -> str:
+    """The message of a failed conservation check."""
+    if in_flight < 0:
+        return (f"negative in-flight: arrivals={arrivals} "
+                f"completions={completions} drops={drops}")
+    if is_leaf:
+        return (f"arrivals != completions + queued + in-service + "
+                f"drops: arrivals={arrivals} "
+                f"completions={completions} drops={drops} "
+                f"live={qlen}")
+    # composites over-count live jobs mid-stripe, but a drained
+    # composite must have settled its ledger
+    return f"drained (queue empty) but in-flight={in_flight}"
 
 
 class InvariantChecker:
@@ -155,15 +163,14 @@ class InvariantChecker:
         self._events = None
         self._session = None
         self._last_now = -_INF
-        # agent -> (last_local_time, last_busy_seconds)
-        self._state: Dict["Agent", Tuple[float, float]] = {}
         # Little's law accumulators: agent -> [queue_len_integral, last_t]
         self._l_int: Dict["Agent", List[float]] = {}
         self._leaf_types: Dict[type, bool] = {}
-        # the leaf stations of the agent list (agents only ever get
-        # appended, so its length says when to rescan)
-        self._leaf_n = -1
-        self._leaf_set: Set["Agent"] = set()
+        # per registered agent: [agent, is_leaf, capacity, capacity
+        # slack, (last local time, last busy seconds) or None before its
+        # first sweep]
+        self._rows: List[list] = []
+        self._rows_of: Optional[List["Agent"]] = None
 
     # ------------------------------------------------------------------
     # wiring
@@ -188,14 +195,11 @@ class InvariantChecker:
                        f"engine clock moved backwards: {self._last_now:.9f}"
                        f" -> {now:.9f}")
         window = now - self._last_now if self._last_now != -_INF else now
-        state = self._state
-        # one leaf scan and one queue-length read per agent per boundary,
-        # shared by every check
-        if self._leaf_n != len(sim.agents):
-            self._leaf_set = set(_leaf_stations(sim.agents,
-                                                self._leaf_types))
-            self._leaf_n = len(sim.agents)
-        leaf = self._leaf_set
+        agents = sim.agents
+        rows = self._rows
+        if len(rows) != len(agents) or self._rows_of is not agents:
+            rows = self._agent_rows(agents)
+        little = "littles_law" in checks
         leaf_q: List[Tuple["Agent", int]] = []
         monotone = "monotone" in checks
         non_negative = "non_negative" in checks
@@ -205,8 +209,10 @@ class InvariantChecker:
         # so a strict run still raises the same violation first
         ledger: List[Tuple[str, str]] = []
         ahead = now + _EPS
-        for agent in sim.agents:
-            prev = state.get(agent)
+        # one busy and one queue-length read per agent per boundary,
+        # shared by every check
+        for row in rows:
+            agent, is_leaf, cap, slack, prev = row
             if prev is None:
                 last_local = last_busy = 0.0
             else:
@@ -237,30 +243,56 @@ class InvariantChecker:
                         or agent.shed < 0 or agent.retries < 0):
                     self._flag(now, "non_negative", agent.name,
                                "negative telemetry counter")
-            is_leaf = agent in leaf
             if is_leaf:
-                leaf_q.append((agent, qlen))
-                if capacity and prev is not None:
-                    cap = agent.capacity()
-                    if busy - last_busy > window * cap + _EPS * max(1.0, cap):
-                        self._flag(now, "capacity", agent.name,
-                                   f"accrued {busy - last_busy:.9f} busy "
-                                   f"server-seconds in a {window:.9f} s "
-                                   f"window with capacity {cap:g}")
-            state[agent] = (lt, busy)
+                if little:
+                    leaf_q.append((agent, qlen))
+                if (capacity and prev is not None
+                        and busy - last_busy > window * cap + slack):
+                    self._flag(now, "capacity", agent.name,
+                               f"accrued {busy - last_busy:.9f} busy "
+                               f"server-seconds in a {window:.9f} s "
+                               f"window with capacity {cap:g}")
+            row[4] = (lt, busy)
             if conservation:
-                verdict = self._ledger(agent, arrivals, drops, qlen, is_leaf)
-                if verdict is not None:
-                    ledger.append((agent.name, verdict))
+                done = agent._completions()
+                # an agent fed through enqueue() (an internal sub-stage
+                # used standalone) never opened its submit-side ledger
+                if arrivals or done <= 0:
+                    in_flight = arrivals - done - drops
+                    if in_flight < 0 or (
+                            in_flight != qlen if is_leaf
+                            else qlen == 0 and in_flight != 0):
+                        ledger.append((agent.name, _ledger_verdict(
+                            arrivals, done, drops, qlen, in_flight, is_leaf)))
         for name, message in ledger:
             self._flag(now, "conservation", name, message)
-        if "littles_law" in checks:
+        if little:
             self._accumulate_little(now, leaf_q)
         if ("fingerprint" in checks and self._session is not None
                 and self.fingerprint_every > 0
                 and self.boundaries % self.fingerprint_every == 0):
             self._check_fingerprint(now)
         self._last_now = now
+
+    def _agent_rows(self, agents: List["Agent"]) -> List[list]:
+        """One ``[agent, is_leaf, capacity, capacity slack, (local, busy)
+        | None]`` row per registered agent.  Agents only ever get
+        appended, so a grown list extends the rows; another list rebuilds
+        them, keeping the state of agents already seen."""
+        rows = self._rows
+        if self._rows_of is not agents:
+            seen = {row[0]: row[4] for row in rows}
+            rows = []
+        else:
+            seen = {}
+        for agent in agents[len(rows):]:
+            is_leaf = _is_leaf(agent, self._leaf_types)
+            cap = agent.capacity() if is_leaf else 0.0
+            rows.append([agent, is_leaf, cap, _EPS * max(1.0, cap),
+                         seen.get(agent)])
+        self._rows = rows
+        self._rows_of = agents
+        return rows
 
     def on_run_end(self, now: float, sim: "Simulator") -> None:
         """Final boundary sweep plus the end-of-run reconciliations."""
@@ -271,31 +303,6 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # individual checks
     # ------------------------------------------------------------------
-    @staticmethod
-    def _ledger(agent: "Agent", arrivals: int, drops: int, qlen: int,
-                is_leaf: bool) -> Optional[str]:
-        """The conservation verdict for one agent (``None``: it holds)."""
-        completions = agent._completions()
-        if arrivals == 0 and completions > 0:
-            # fed through enqueue() (internal sub-stage used standalone):
-            # the submit-side ledger never opened
-            return None
-        in_flight = arrivals - completions - drops
-        if in_flight < 0:
-            return (f"negative in-flight: arrivals={arrivals} "
-                    f"completions={completions} drops={drops}")
-        if is_leaf:
-            if in_flight != qlen:
-                return (f"arrivals != completions + queued + in-service + "
-                        f"drops: arrivals={arrivals} "
-                        f"completions={completions} drops={drops} "
-                        f"live={qlen}")
-        elif qlen == 0 and in_flight != 0:
-            # composites over-count live jobs mid-stripe, but a drained
-            # composite must have settled its ledger
-            return f"drained (queue empty) but in-flight={in_flight}"
-        return None
-
     def _accumulate_little(self, now: float,
                            leaf: List[Tuple["Agent", int]]) -> None:
         """``leaf``: each leaf station with its queue length this

@@ -178,6 +178,26 @@ def test_interrupted_then_resumed_equals_uninterrupted(tmp_path):
     assert result_key(resumed) == result_key(full)  # bit-exact
 
 
+def test_resume_to_a_later_horizon_continues_like_a_fresh_run(tmp_path):
+    """A finished run's checkpoint continued past the horizon it was
+    written under: the replay draws arrivals up to the recorded horizon
+    (so the fingerprint matches), then the arrivals continue exactly as
+    a fresh run to the later horizon draws them."""
+    observe = ObservabilityOptions(collect=Collect(sample_interval=5.0))
+    ck = tmp_path / "ck.json"
+    simulate(portal_scenario(), until=30.0, observability=observe,
+             checkpoint=CheckpointOptions(every=10.0, path=ck))
+    assert read_checkpoint(ck)["time"] == pytest.approx(30.0)
+    fresh = simulate(portal_scenario(), until=60.0, observability=observe,
+                     checkpoint=CheckpointOptions(
+                         every=10.0, path=tmp_path / "ref.json"))
+    resumed = simulate(portal_scenario(), until=60.0, observability=observe,
+                       checkpoint=CheckpointOptions(resume_from=ck))
+    assert resumed.until == 60.0
+    assert any(r.start > 30.0 for r in resumed.records)
+    assert result_key(resumed) == result_key(fresh)
+
+
 def test_resume_rejects_wrong_scenario(tmp_path):
     ck = tmp_path / "ck.json"
     simulate(portal_scenario(), until=30.0,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import Simulator, Job
 from repro.queueing import FCFSQueue
+from repro.queueing.soa import vectorize_agents
 
 
 def run_queue(q, jobs, horizon=100.0, dt=0.01):
@@ -234,3 +235,82 @@ def test_directly_admitted_job_fails_and_restarts_like_the_general_path(crash):
                             ("looped", fin), ("looped+", fin + 1.0)]
     assert j1.start_time == j2.start_time == start
     assert direct.busy_time == looped.busy_time == busy
+
+
+def _station(kernel):
+    """A rate-1 single-server station on the given queueing kernel."""
+    sim = Simulator()
+    q = FCFSQueue("q", rate=1.0)
+    if kernel == "vector":
+        vectorize_agents(sim, [q], name="t")
+    else:
+        sim.add_agent(q)
+    return sim, q
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "vector"])
+def test_repair_of_a_running_station_is_a_no_op(kernel):
+    """A repair finds nothing to resume on a station that never failed:
+    the job in service keeps its completion, the one queued behind it
+    still waits for it, and no busy time is dropped."""
+    sim, q = _station(kernel)
+    done = []
+    sim.schedule(0.0, lambda now: q.submit(
+        Job(1.0, on_complete=_recorder(done, "a")), now))
+    sim.schedule(0.5, lambda now: q.repair(now))
+    sim.schedule(0.6, lambda now: q.submit(
+        Job(1.0, on_complete=_recorder(done, "b")), now))
+    sim.run(3.0)
+    assert done == [("a", 1.0), ("b", 2.0)]
+    assert q.busy_time == 2.0
+
+
+def test_station_failed_by_a_continuation_admits_nothing():
+    """A job's continuation fails its station at the completion instant:
+    the event loop stops there, and the job queued behind it neither
+    starts nor completes while the station is down."""
+    q = FCFSQueue("q", rate=1.0)
+    done = []
+
+    def first(_job, t):
+        done.append(("a", t))
+        q.fail(crash=False, now=t)
+
+    second = Job(1.0, on_complete=_recorder(done, "b"))
+    q.submit(Job(1.0, on_complete=first), 0.0)
+    q.submit(second, 0.0)
+    q.advance_to(2.5)
+    assert done == [("a", 1.0)]
+    assert (q.queue_length(), second.start_time) == (1, None)
+    q.repair(3.0)
+    q.advance_to(5.0)
+    assert done == [("a", 1.0), ("b", 4.0)]
+    assert second.start_time == 3.0
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "vector"])
+def test_continuation_failure_defers_the_next_start_to_the_repair(kernel):
+    """The same failure with the engine driving the station, under both
+    queueing kernels."""
+    sim, q = _station(kernel)
+    done = []
+
+    def first(_job, t):
+        done.append(("a", t))
+        q.fail(crash=False, now=t)
+
+    second = Job(1.0, on_complete=_recorder(done, "b"))
+
+    def arrive(now):
+        q.submit(Job(1.0, on_complete=first), now)
+        q.submit(second, now)
+
+    sim.schedule(0.0, arrive)
+    sim.schedule(3.0, lambda now: q.repair(now))
+    sim.run(2.5)
+    assert done == [("a", 1.0)]
+    assert (q.queue_length(), second.start_time) == (1, None)
+    sim.run(5.0)
+    assert done == [("a", 1.0), ("b", 4.0)]
+    assert second.start_time == 3.0
+    assert q.busy_time == 2.0

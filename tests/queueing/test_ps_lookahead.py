@@ -200,22 +200,26 @@ def test_drill_link_wakes_once_per_lone_transfer(monkeypatch):
 
     links = []
     wakes = {"link": 0, "boundaries": 0}
-    add_agent, due_agents = Engine.add_agent, Engine._due_agents
+    add_agent = Engine.add_agent
 
     def add(self, agent):
         if agent.agent_type == "link":
             links.append(agent)
+            # the engine wakes an agent through ``advance_to``; a link's
+            # own enqueue and measurement syncs bypass it
+            advance = agent.advance_to
+
+            def woken(t):
+                wakes["link"] += 1
+                advance(t)
+
+            agent.advance_to = woken
         return add_agent(self, agent)
 
-    def due(self, t):
-        agents = due_agents(self, t)
-        wakes["link"] += sum(a.agent_type == "link" for a in agents)
-        wakes["boundaries"] += 1
-        return agents
-
     monkeypatch.setattr(Engine, "add_agent", add)
-    monkeypatch.setattr(Engine, "_due_agents", due)
-    out = DegradedStudy(horizon=120.0, seed=42).run_cell(60.0, resilient=True)
+    out = DegradedStudy(horizon=120.0, seed=42).run_cell(
+        60.0, resilient=True, profile=True)
+    wakes["boundaries"] = out.profile.ticks
     transfers = sum(link.completed_count for link in links)
     assert (out.operations, out.server_failures, transfers) == (262, 5, 2098)
     # one wake per transfer, plus three admissions that found a second
