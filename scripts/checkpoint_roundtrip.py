@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Crash/resume smoke test for the checkpoint subsystem.
 
-The parent process
+For each queueing kernel (scalar, then vector) the parent process
 
 1. spawns a child (``--child``) that runs the reference scenario with
    periodic checkpointing and SIGKILLs *itself* mid-run — no cleanup,
@@ -27,8 +27,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.api import (  # noqa: E402
+    KERNELS,
     CheckpointOptions,
     Collect,
+    EngineOptions,
     ObservabilityOptions,
     Scenario,
     simulate,
@@ -83,62 +85,71 @@ def result_key(result):
     )
 
 
-def child(ck_path: str) -> None:
+def child(ck_path: str, kernel: str) -> None:
     """Run toward UNTIL with checkpoints armed, then die hard at KILL_T."""
-    session = scenario().prepare(collect=Collect(sample_interval=5.0))
+    session = scenario().prepare(kernel=kernel,
+                                 collect=Collect(sample_interval=5.0))
     session._until = UNTIL
     session.arm_checkpoints(CK_EVERY, ck_path)
-    session._workloads_started = True
-    session._start_workloads(UNTIL)
+    session._drive_workloads(UNTIL)
     session.sim.run(KILL_T)
     os.kill(os.getpid(), signal.SIGKILL)  # simulated host crash
     raise AssertionError("unreachable: SIGKILL did not take")
 
 
+def drill(kernel: str, tmp: str) -> None:
+    ck = os.path.join(tmp, f"crash-{kernel}.ckpt")
+    ref_ck = os.path.join(tmp, f"ref-{kernel}.ckpt")
+
+    print(f"[{kernel} 1/4] spawning child, will SIGKILL itself at "
+          f"t={KILL_T:.0f}s")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", ck, kernel],
+        env=env,
+    )
+    assert proc.returncode != 0, "child survived its own SIGKILL?"
+    print(f"      child exited with {proc.returncode} (expected: killed)")
+
+    doc = read_checkpoint(ck)
+    print(f"[{kernel} 2/4] orphaned checkpoint OK: t={doc['time']:.1f}s "
+          f"of {doc['until']:.0f}s")
+    assert abs(doc["time"] - CK_EVERY) < 1e-6, doc["time"]
+    assert doc["kernel"] == kernel, doc["kernel"]
+
+    print(f"[{kernel} 3/4] computing the uninterrupted reference "
+          f"(until={UNTIL:.0f}s)")
+    observe = ObservabilityOptions(collect=Collect(sample_interval=5.0))
+    full = simulate(scenario(), until=UNTIL, observability=observe,
+                    engine=EngineOptions(kernel=kernel),
+                    checkpoint=CheckpointOptions(every=CK_EVERY,
+                                                 path=ref_ck))
+
+    print(f"[{kernel} 4/4] resuming from the orphaned checkpoint")
+    resumed = simulate(scenario(), observability=observe,
+                       checkpoint=CheckpointOptions(resume_from=ck))
+
+    assert resumed.until == UNTIL
+    assert result_key(resumed) == result_key(full), (
+        f"kernel={kernel}: resumed run diverged from the uninterrupted "
+        "reference"
+    )
+    n = len(full.records)
+    print(f"PASS ({kernel}): resumed == uninterrupted ({n} operation "
+          f"records and 2 collector series bit-identical)\n")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        ck = os.path.join(tmp, "crash.ckpt")
-        ref_ck = os.path.join(tmp, "ref.ckpt")
-
-        print(f"[1/4] spawning child, will SIGKILL itself at t={KILL_T:.0f}s")
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--child", ck],
-            env=env,
-        )
-        assert proc.returncode != 0, "child survived its own SIGKILL?"
-        print(f"      child exited with {proc.returncode} (expected: killed)")
-
-        doc = read_checkpoint(ck)
-        print(f"[2/4] orphaned checkpoint OK: t={doc['time']:.1f}s "
-              f"of {doc['until']:.0f}s")
-        assert abs(doc["time"] - CK_EVERY) < 1e-6, doc["time"]
-
-        print(f"[3/4] computing the uninterrupted reference "
-              f"(until={UNTIL:.0f}s)")
-        observe = ObservabilityOptions(collect=Collect(sample_interval=5.0))
-        full = simulate(scenario(), until=UNTIL, observability=observe,
-                        checkpoint=CheckpointOptions(every=CK_EVERY,
-                                                     path=ref_ck))
-
-        print("[4/4] resuming from the orphaned checkpoint")
-        resumed = simulate(scenario(), observability=observe,
-                           checkpoint=CheckpointOptions(resume_from=ck))
-
-        assert resumed.until == UNTIL
-        assert result_key(resumed) == result_key(full), (
-            "resumed run diverged from the uninterrupted reference"
-        )
-        n = len(full.records)
-        print(f"\nPASS: resumed == uninterrupted ({n} operation records "
-              f"and 2 collector series bit-identical)")
+        for kernel in KERNELS:
+            drill(kernel, tmp)
     return 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 3 and sys.argv[1] == "--child":
-        child(sys.argv[2])
+    if len(sys.argv) == 4 and sys.argv[1] == "--child":
+        child(sys.argv[2], sys.argv[3])
     else:
         sys.exit(main())

@@ -255,8 +255,8 @@ class EngineOptions:
     ``kernel``
         The queueing substrate: ``"scalar"`` drives every station as
         its own exact-event agent (the differential oracle);
-        ``"vector"`` batches homogeneous stations behind
-        struct-of-arrays drivers (:mod:`repro.queueing.soa`) — same
+        ``"vector"`` batches homogeneous stations behind one
+        driver per tier (:mod:`repro.queueing.soa`) — same
         exact-event semantics, far fewer engine boundaries on large
         fleets.  Bit-parity across kernels is not guaranteed; each
         kernel passes the oracle sweep and event≡adaptive parity on its
@@ -653,8 +653,8 @@ class SimulationSession:
             if self.owns(name):
                 if kernel == "vector":
                     # one bank per DC infrastructure group and per tier
-                    # (= child holon): homogeneous stations advance as
-                    # one numpy batch
+                    # (= child holon): homogeneous stations advance
+                    # behind one engine driver
                     vectorize_agents(
                         self.sim, dc.local_agents, name=f"{name}.infra")
                     for child in dc.children:
@@ -927,6 +927,7 @@ class SimulationSession:
             },
             "dt": self._dt,
             "mode": self._mode,
+            "kernel": self._kernel,
             "until": self._until,
             "checkpoint_every": self._checkpoint_every,
             "metrics": "on" if self.metrics is not None else None,
@@ -954,13 +955,23 @@ class SimulationSession:
             first_due=self.sim.now + every,
         )
 
-    def run(self, until: float, workloads: bool = True) -> "SimulationResult":
-        """Run to ``until``; standard workloads start on the first call."""
-        if self._until is None:
-            self._until = until
-        if workloads and not self._workloads_started:
+    def _drive_workloads(self, until: float) -> None:
+        """Start the standard workloads, or carry their arrivals on to a
+        later ``until`` exactly as a fresh run to it would draw them."""
+        if not self._workloads_started:
             self._workloads_started = True
             self._start_workloads(until)
+            return
+        for wl in self.workloads:
+            wl.extend(until)
+
+    def run(self, until: float, workloads: bool = True) -> "SimulationResult":
+        """Run to ``until``; standard workloads start on the first call
+        and later calls extend their arrivals to the new horizon."""
+        if self._until is None:
+            self._until = until
+        if workloads:
+            self._drive_workloads(until)
         if self.events is not None:
             self.events.emit("run_start", self.sim.now, until=until,
                              mode=self._mode, scenario=self.scenario.name)
@@ -1246,22 +1257,6 @@ def simulate(
         raise ConfigurationError(
             "CheckpointOptions.every needs CheckpointOptions.path")
     writes = ckpt.every is not None or ckpt.path is not None
-    if eng.kernel == "vector":
-        if writes:
-            raise ConfigurationError(
-                "kernel='vector' does not write checkpoints yet: the "
-                "batched substrate keeps struct-of-arrays state outside "
-                "the per-agent snapshots (tracked in ROADMAP.md under "
-                "'Checkpoint/resume under kernel=\"vector\"'). Run "
-                "EngineOptions(kernel='scalar') with CheckpointOptions("
-                "every=, path=) for crash safety, or drop the "
-                "checkpoint options")
-        if ckpt.resume_from is not None:
-            raise ConfigurationError(
-                "kernel='vector' cannot resume from a checkpoint yet "
-                "(tracked in ROADMAP.md under 'Checkpoint/resume under "
-                "kernel=\"vector\"'). Resume with EngineOptions("
-                "kernel='scalar'), or re-run the vector kernel from t=0")
     par_spec = parallel if parallel is not None else scenario.parallel
     if par_spec is not None:
         popts = ParallelOptions.coerce(par_spec)
@@ -1328,8 +1323,8 @@ def _resume(
 ) -> SimulationResult:
     """Rebuild, replay to the checkpoint time, verify, continue.
 
-    The replay runs in the checkpoint's mode and dt; ``engine`` (when
-    given) must agree with them.
+    The replay runs in the checkpoint's kernel, mode and dt; ``engine``
+    (when given) must agree with them.
     """
     from repro.core.checkpoint import read_checkpoint, state_fingerprint
 
@@ -1342,11 +1337,12 @@ def _resume(
             f"(seed {meta.get('seed')!r}), not {scenario.name!r} "
             f"(seed {scenario.seed!r})"
         )
-    if engine is not None and (engine.mode, engine.dt) != (doc["mode"],
-                                                           doc["dt"]):
+    if engine is not None and (engine.kernel, engine.mode, engine.dt) != (
+            doc["kernel"], doc["mode"], doc["dt"]):
         raise CheckpointError(
-            f"checkpoint was written in mode={doc['mode']!r} "
-            f"dt={doc['dt']!r}, not EngineOptions(mode={engine.mode!r}, "
+            f"checkpoint was written in kernel={doc['kernel']!r} "
+            f"mode={doc['mode']!r} dt={doc['dt']!r}, not EngineOptions("
+            f"kernel={engine.kernel!r}, mode={engine.mode!r}, "
             f"dt={engine.dt!r}); omit engine= to resume in the "
             "checkpoint's")
     t_checkpoint = doc["time"]
@@ -1366,9 +1362,10 @@ def _resume(
     # too or verification would (correctly) refuse to continue
     metrics = obs.metrics if obs.metrics is not None else doc.get("metrics")
     session = scenario.prepare(
-        dt=doc["dt"], mode=doc["mode"], trace=obs.trace,
-        profile=obs.profile, collect=obs.collect, resilience=resilience,
-        metrics=metrics, slo=obs.slo, invariants=obs.invariants,
+        dt=doc["dt"], mode=doc["mode"], kernel=doc["kernel"],
+        trace=obs.trace, profile=obs.profile, collect=obs.collect,
+        resilience=resilience, metrics=metrics, slo=obs.slo,
+        invariants=obs.invariants,
     )
     session._until = until
     every = ckpt.every if ckpt.every is not None \
@@ -1385,8 +1382,7 @@ def _resume(
     if replay_until is None:
         replay_until = until
     if workloads:
-        session._workloads_started = True
-        session._start_workloads(replay_until)
+        session._drive_workloads(replay_until)
     session.sim.run(t_checkpoint)
     fingerprint = state_fingerprint(session)
     if fingerprint["hash"] != doc["fingerprint"]["hash"]:
@@ -1399,9 +1395,8 @@ def _resume(
         session.events.emit("resume", session.sim.now,
                             checkpoint=str(resume_from),
                             fingerprint=fingerprint["hash"])
-    for wl in session.workloads:
-        # a later horizon continues the arrivals as a fresh run to it
-        wl.extend(until)
+    if workloads:
+        session._drive_workloads(until)
     session.sim.run(until)
     return session.result(until)
 

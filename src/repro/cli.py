@@ -586,8 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=("scalar", "vector"),
                    default="scalar",
                    help="queueing substrate under test: the scalar "
-                        "per-station path or the struct-of-arrays "
-                        "batched path (each must pass on its own)")
+                        "per-station path or the batched path (each "
+                        "must pass on its own)")
     p.add_argument("--rate-fault", type=float, default=1.0,
                    help="deliberately scale every service rate (1.0 = "
                         "nominal; e.g. 0.7 demonstrates the gate "

@@ -43,8 +43,9 @@ from typing import Any, Dict, Union
 from repro.core.errors import CheckpointError
 
 #: Bumped whenever the fingerprint recipe or document layout changes
-#: (3: the operation records enter as one running digest).
-CHECKPOINT_VERSION = 3
+#: (3: the operation records enter as one running digest; 4: the
+#: document records the queueing kernel).
+CHECKPOINT_VERSION = 4
 
 
 def state_fingerprint(session) -> Dict[str, Any]:

@@ -16,14 +16,14 @@ reproduces the flat physical profile when configured that way.
 
 from __future__ import annotations
 
-import random
 from typing import Dict
 
 from repro.core.agent import Agent
 from repro.core.job import Job
+from repro.hardware.storage import HitStream
 
 
-class Memory(Agent):
+class Memory(Agent, HitStream):
     """Byte-occupancy tracker with a probabilistic cache-hit model.
 
     Parameters
@@ -38,7 +38,8 @@ class Memory(Agent):
         (0 disables the floor — the thesis's original client-driven
         estimate).
     seed:
-        Seed for the cache-hit Bernoulli draws (determinism in tests).
+        Seed for the cache-hit Bernoulli draws (determinism in tests);
+        a cache whose hit rate is 0 never draws.
     """
 
     agent_type = "memory"
@@ -64,12 +65,13 @@ class Memory(Agent):
         self.allocated = 0.0
         self.peak_allocated = 0.0
         self.failed_allocations = 0
-        self._rng = random.Random(seed)
+        self._seed = seed
 
     # ------------------------------------------------------------------
     def is_cache_hit(self) -> bool:
         """Draw whether the next access bypasses downstream queues."""
-        return self._rng.random() < self.cache_hit_rate
+        rate = self.cache_hit_rate
+        return rate > 0.0 and self._rng.random() < rate
 
     def allocate(self, nbytes: float) -> bool:
         """Reserve ``nbytes``; returns False (and counts) when exhausted."""

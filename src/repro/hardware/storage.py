@@ -104,11 +104,11 @@ class Stage(FCFSQueue):
 
 
 class HitStream:
-    """The cache-hit stream (``_rng``) of a disk or array, seeded from
-    ``_seed`` on first use: a cache whose hit rate is 0 never draws, so
-    it never pays for a generator (about 3 kB each).  Listed after
-    ``Agent`` in the bases, so a built composite keeps the instance
-    layout that lets it switch class (``as_reference``)."""
+    """The cache-hit stream (``_rng``) of a disk, array or memory,
+    seeded from ``_seed`` on first use: a cache whose hit rate is 0
+    never draws, so it never pays for a generator (about 3 kB each).
+    Listed after ``Agent`` in the bases, so a built composite keeps
+    the instance layout that lets it switch class (``as_reference``)."""
 
     __slots__ = ()  # the agent's instance dict holds the state
     _seed = None

@@ -293,8 +293,7 @@ def _shard_worker(idx: int, scenario: Scenario, plan: PartitionPlan,
         receivers = inbox.get()
         port.seal(receivers)
         if workloads:
-            session._workloads_started = True
-            session._start_workloads(until)
+            session._drive_workloads(until)
         if session.events is not None:
             session.events.emit("run_start", session.sim.now, until=until,
                                 mode=engine.mode, scenario=scenario.name,

@@ -8,10 +8,9 @@ provides the classical closed-form results used to cross-validate the
 simulated queues, and :mod:`repro.queueing.kendall` parses the Kendall
 notation of Appendix A.
 
-:mod:`repro.queueing.soa` holds the struct-of-arrays batched substrate
-behind ``simulate(engine=EngineOptions(kernel="vector"))``; it is
-imported lazily (it is the only queueing module that requires numpy)
-so the scalar kernel works without it.
+:mod:`repro.queueing.soa` holds the batched substrate behind
+``simulate(engine=EngineOptions(kernel="vector"))``; it is imported
+lazily, only by runs that select it.
 """
 
 from repro.queueing.fcfs import FCFSQueue

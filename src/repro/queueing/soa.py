@@ -1,4 +1,4 @@
-"""Struct-of-arrays queueing substrate — the ``kernel="vector"`` path.
+"""Batched queueing substrate — the ``kernel="vector"`` path.
 
 The scalar substrate (`fcfs`/`ps` plus the hardware stations wrapping
 them) drives every station as its own exact-event agent: each service
@@ -7,16 +7,16 @@ wake-heap entry.  On large fleets the profiler shows
 ``step_select``/``wake`` dominated by exactly this per-agent dispatch.
 
 ``BatchedTier`` batches homogeneous stations behind one engine driver:
-a struct-of-arrays bank for FCFS stations (NIC, switch, CPU socket
-queues) plus a multiplexer for PS stations (network links).  Each FCFS
-member keeps a ``free``-slot vector; admission is the closed-form
-recurrence ``start = max(now, not_before, free.min(), last_start)`` —
-equivalent to the scalar head-of-line admission including the FIFO
-non-overtaking guarantee — so a completion costs one shared-heap pop
-instead of an engine boundary per station.  PS members keep their full
-scalar machinery but report their next event into a bank-level numpy
-vector with a cached min, so the engine sees one driver per tier
-instead of one agent per station.
+a bank for FCFS stations (NIC, switch, CPU socket queues) plus a
+multiplexer for PS stations (network links).  Each FCFS member keeps a
+``free``-slot list; admission is the closed-form recurrence
+``start = max(now, not_before, min(free), last_start)`` — equivalent
+to the scalar head-of-line admission including the FIFO non-overtaking
+guarantee — so a completion costs one shared-heap pop instead of an
+engine boundary per station.  PS members keep their full scalar
+machinery but report their next event into a bank-level lazy-deletion
+heap, so the engine sees one driver per tier instead of one agent per
+station.
 
 The storage composites (Disk, RAID, SAN) are not batched here: they
 schedule every request's stage chain in closed form under either
@@ -24,130 +24,55 @@ kernel (:mod:`repro.hardware.storage`) and register as plain agents.
 
 Scalar stations stay registered *observationally* (telemetry, tracing,
 invariants and the metrics mirror read them as before); the bank owns
-event scheduling.  Busy time is accrued as (start, fin) service spans
-and folded into the scalar ``record_busy`` counters at measurement
-boundaries, so windowed utilization, capacity invariants and telemetry
-see the same accounting as the scalar path.  The scalar kernel remains
-the differential oracle: bit-parity across kernels is not required,
-but each kernel must pass the oracle sweep and event≡adaptive parity
-on its own (``tests/core/test_kernel_parity.py``).
+event scheduling.  All of the bank's state lives on the member
+stations: each scheduled job's entry carries the part of its service
+span already credited, and busy time reaches the scalar
+``record_busy`` counters at completion, at a pause and at measurement
+syncs, so windowed utilization, capacity invariants, telemetry and
+checkpoint fingerprints see the same accounting as the scalar path.
+The bank's heaps are caches derived from that state.  The scalar
+kernel remains the differential oracle: each kernel must pass the
+oracle sweep and event≡adaptive parity on its own
+(``tests/core/test_kernel_parity.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Any, List, Optional, Tuple
 
 from repro.core.agent import Agent
 from repro.core.job import Job
 
 _INF = float("inf")
 
-#: Open service spans are committed opportunistically past this count so
-#: a long monitor-less run cannot buffer every span in memory.  Commits
-#: happen at event times (never past the clock), so any threshold is
-#: correct; the value only trades memory against commit batching.
-SPAN_COMMIT_THRESHOLD = 4096
-
-
-class _SpanStore:
-    """Busy-time spans accrued lazily and committed in numpy batches.
-
-    Every scheduled service contributes one ``(start, fin)`` span tagged
-    with a station index.  ``commit(t)`` folds the elapsed portion of
-    every span into the owning station's ``record_busy`` (one
-    ``np.add.at`` scatter), remembers the committed prefix per span
-    (``acc``) and drops fully-elapsed spans.  Committing at any
-    ``t <= now`` is exact because schedules only change through
-    pause/crash hooks, which commit and re-cut the spans first.
-    """
-
-    __slots__ = ("stations", "starts", "fins", "accs", "idx", "_n")
-
-    def __init__(self, stations: List[Agent]) -> None:
-        self.stations = stations
-        self.starts: List[float] = []
-        self.fins: List[float] = []
-        self.accs: List[float] = []
-        self.idx: List[int] = []
-        self._n = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def add(self, station_idx: int, start: float, fin: float) -> None:
-        self.starts.append(start)
-        self.fins.append(fin)
-        self.accs.append(start)
-        self.idx.append(station_idx)
-        self._n += 1
-
-    def commit(self, t: float) -> None:
-        """Credit service performed up to ``t`` to the stations."""
-        if not self.starts:
-            return
-        starts = np.asarray(self.starts)
-        fins = np.asarray(self.fins)
-        accs = np.asarray(self.accs)
-        idx = np.asarray(self.idx, dtype=np.intp)
-        upto = np.minimum(fins, t)
-        delta = upto - np.maximum(accs, starts)
-        pos = delta > 0.0
-        if pos.any():
-            totals = np.zeros(len(self.stations))
-            np.add.at(totals, idx[pos], delta[pos])
-            for i in np.flatnonzero(totals):
-                self.stations[i].record_busy(float(totals[i]))
-        keep = fins > t + 1e-12
-        new_accs = np.maximum(accs, upto)
-        if keep.all():
-            self.accs = new_accs.tolist()
-        else:
-            self.starts = starts[keep].tolist()
-            self.fins = fins[keep].tolist()
-            self.accs = new_accs[keep].tolist()
-            self.idx = idx[keep].tolist()
-            self._n = len(self.starts)
-
-    def drop_station(self, station_idx: int) -> None:
-        """Discard the remaining spans of one station (pause freeze)."""
-        keep = [i for i, s in enumerate(self.idx) if s != station_idx]
-        self.starts = [self.starts[i] for i in keep]
-        self.fins = [self.fins[i] for i in keep]
-        self.accs = [self.accs[i] for i in keep]
-        self.idx = [self.idx[i] for i in keep]
-        self._n = len(self.starts)
-
 
 class BatchedTier(Agent):
-    """Struct-of-arrays bank advancing many stations as one engine agent.
+    """Bank advancing many stations as one engine agent.
 
     FCFS members are fully absorbed: their ``enqueue``/``queue_length``/
     failure hooks delegate here (see ``FCFSQueue._bank``), admissions are
-    scheduled in closed form against a per-station numpy ``free`` vector,
-    and completions pop from one shared ``(fin, seq, station, job)``
-    heap (lazy deletion: an entry is valid iff ``job.finish_at`` still
-    equals its key).  PS members keep the scalar machinery; the bank owns
-    their ``_sched``/``_waker`` hooks and aggregates their next-event
-    times into a numpy vector with an incrementally maintained min —
-    the composite-agent cache generalized from per-child to per-tier.
+    scheduled in closed form against a per-station ``free`` list, and
+    completions pop from one shared ``(fin, seq, station, job)`` heap
+    (lazy deletion: an entry is valid iff ``job.finish_at`` still equals
+    its key).  PS members keep the scalar machinery; the bank owns their
+    ``_sched``/``_waker`` hooks and keys their next-event times in a
+    ``(time, member)`` heap (lazy deletion: an entry is valid iff the
+    member's stored next time still equals its key).
     """
 
     agent_type = "batched-tier"
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
-        self._stations: List[Agent] = []
-        self._spans = _SpanStore(self._stations)
         self._heap: List[Tuple[float, int, Any, Job]] = []
         self._seq = itertools.count()
         self._fcfs: List[Any] = []
         self._ps: List[Any] = []
-        self._ps_next = np.empty(0)
-        self._ps_min = _INF
+        #: each PS member's next-event time, and the heap keying them
+        self._ps_next: List[float] = []
+        self._ps_heap: List[Tuple[float, int]] = []
         self._inflight = 0
         self._now = 0.0
         self._advancing = False
@@ -163,33 +88,31 @@ class BatchedTier(Agent):
     def adopt_fcfs(self, station) -> None:
         """Absorb an FCFS station (NIC/switch/CPU socket) into the bank."""
         station._bank = self
-        station._bank_sidx = len(self._stations)
-        # plain floats: admissions are scalar recurrences over a handful
-        # of servers, where list min/index beats numpy dispatch
         station._bank_free = [0.0] * station.servers
         station._bank_last_start = 0.0
         # the station's event clock (latest completion or repair): an
         # arrival behind it is admitted at the clock, as in the scalar
         station._bank_clock = 0.0
         station._bank_inflight = 0
-        #: the station's scheduled jobs by id, in admission (FIFO) order
+        #: the station's scheduled jobs in admission (FIFO) order, each
+        #: mapped to the instant up to which its span is credited as busy
         station._bank_live = {}
         station._bank_frozen = []
         station._waker = self._member_wake
         station._sched = self._member_resched
-        self._stations.append(station)
         self._fcfs.append(station)
 
     def adopt_ps(self, station) -> None:
         """Multiplex a PS station (network link) through the bank."""
-        station._bank_sidx = len(self._stations)
-        station._bank_pidx = len(self._ps)
+        i = len(self._ps)
+        station._bank_pidx = i
         station._waker = self._member_wake
         station._sched = self._ps_resched
-        self._stations.append(station)
         self._ps.append(station)
-        self._ps_next = np.append(self._ps_next, station.next_event_time())
-        self._ps_min = float(self._ps_next.min())
+        nxt = station.next_event_time()
+        self._ps_next.append(nxt)
+        if nxt < _INF:
+            heapq.heappush(self._ps_heap, (nxt, i))
 
     # ------------------------------------------------------------------
     # member hooks
@@ -209,25 +132,30 @@ class BatchedTier(Agent):
         self._reschedule()
 
     def _ps_resched(self, station) -> None:
-        """PS member ``_sched``: maintain the aggregated next-event min."""
-        arr = self._ps_next
+        """PS member ``_sched``: re-key the member; re-key the bank only
+        when that moves the earliest PS event."""
+        nxt = self._ps_next
         i = station._bank_pidx
         new = station.next_event_time()
-        old = arr[i]
-        if new == old:
+        if new == nxt[i]:
             return
-        arr[i] = new
-        cur = self._ps_min
-        if new < cur:
-            self._ps_min = new
-        elif old == cur:
-            nxt = float(arr.min()) if arr.size else _INF
-            self._ps_min = nxt
-            if nxt == cur:  # another member shares the old min
-                return
-        else:
-            return
-        self._reschedule()
+        cur = self._ps_heap_min()
+        nxt[i] = new
+        if new < _INF:
+            heapq.heappush(self._ps_heap, (new, i))
+        if self._ps_heap_min() != cur:
+            self._reschedule()
+
+    def _ps_heap_min(self) -> float:
+        """Earliest PS member event, dropping stale heap entries."""
+        heap = self._ps_heap
+        nxt = self._ps_next
+        while heap:
+            w, i = heap[0]
+            if nxt[i] == w:
+                return w
+            heapq.heappop(heap)
+        return _INF
 
     def _note_min(self, fin: float) -> None:
         """Re-key after a new event at ``fin`` — but only when it can
@@ -271,7 +199,7 @@ class BatchedTier(Agent):
         """Complete the station's jobs due inside the guard, in
         ``(fin, seq)`` order, before an arrival is admitted (the scalar
         enqueue settles its own events first)."""
-        due = [(job.finish_at, job) for job in station._bank_live.values()
+        due = [(job.finish_at, job) for job in station._bank_live
                if job.finish_at <= limit]
         # a stable sort: admission order breaks ties
         due.sort(key=lambda e: e[0])
@@ -304,9 +232,8 @@ class BatchedTier(Agent):
         if job.start_time is None:
             job.start_time = start
         job.finish_at = fin
-        station._bank_live[id(job)] = job
+        station._bank_live[job] = start
         heapq.heappush(self._heap, (fin, next(self._seq), station, job))
-        self._spans.add(station._bank_sidx, start, fin)
         self._note_min(fin)
 
     def _complete(self, station, job: Job, fin: float) -> None:
@@ -316,7 +243,9 @@ class BatchedTier(Agent):
             owner._depth -= 1
             owner = owner._depth_owner
         self._inflight -= 1
-        del station._bank_live[id(job)]
+        busy = fin - station._bank_live.pop(job)
+        if busy > 0.0:
+            station.record_busy(busy)
         station.completed_count += 1
         if fin > station._bank_clock:
             station._bank_clock = fin
@@ -328,16 +257,31 @@ class BatchedTier(Agent):
             met.observe_completion(start - enq, fin - start, fin - enq)
         job.finish(fin)
 
+    @staticmethod
+    def _credit(station, t: float) -> None:
+        """Credit the service the station's live jobs performed up to
+        ``t`` (a span that has not started yet owes nothing)."""
+        live = station._bank_live
+        total = 0.0
+        for job, acc in live.items():
+            fin = job.finish_at
+            upto = fin if fin < t else t
+            if upto > acc:
+                total += upto - acc
+                live[job] = upto
+        if total > 0.0:
+            station.record_busy(total)
+
     # ------------------------------------------------------------------
     # failure hooks (delegated from FCFSQueue when banked)
     # ------------------------------------------------------------------
     def fcfs_pause(self, station, now: Optional[float]) -> None:
-        """Freeze the station: commit elapsed service, convert scheduled
+        """Freeze the station: credit elapsed service, convert scheduled
         jobs back to remaining-work form, queue them for replay."""
         p = self._now if now is None else max(now, self._now)
-        self._spans.commit(p)
-        frozen: List[Job] = []
-        for job in station._bank_live.values():
+        self._credit(station, p)
+        live = station._bank_live
+        for job in live:
             # (fin - p) * rate exceeds ``remaining`` exactly when the
             # scheduled start lies at/after the pause (no service yet);
             # otherwise it is the un-served tail of the span
@@ -348,10 +292,8 @@ class BatchedTier(Agent):
                 # a future scheduled start from this round, not a real one
                 job.start_time = None
             job.finish_at = None  # invalidates the heap entry
-            frozen.append(job)
         station._bank_live = {}
-        self._spans.drop_station(station._bank_sidx)
-        station._bank_frozen = frozen
+        station._bank_frozen = list(live)
         self._reschedule()
 
     def fcfs_crash(self, station) -> None:
@@ -394,8 +336,9 @@ class BatchedTier(Agent):
         if not self._net_dirty:
             return self._net_cache
         nxt = self._heap_min()
-        if self._ps_min < nxt:
-            nxt = self._ps_min
+        ps = self._ps_heap_min()
+        if ps < nxt:
+            nxt = ps
         self._net_cache = nxt
         self._net_dirty = False
         return nxt
@@ -422,32 +365,41 @@ class BatchedTier(Agent):
                         self._now = fin
                     self._complete(station, job, fin)
                     progressed = True
-                if self._ps_min <= limit:
-                    arr = self._ps_next
-                    for i in np.flatnonzero(arr <= limit):
-                        st = self._ps[i]
-                        st.advance_to(t)
-                        # the scalar contract guarantees the next internal
-                        # event now lies beyond t; re-read defensively so
-                        # a missed reschedule cannot loop forever
-                        arr[i] = st.next_event_time()
-                    self._ps_min = float(arr.min()) if arr.size else _INF
+                if self._ps_heap_min() <= limit:
+                    self._advance_ps(t, limit)
                     progressed = True
                 if not progressed:
                     break
         finally:
             self._advancing = False
-        if len(self._spans) > SPAN_COMMIT_THRESHOLD:
-            # commit at the last processed event time: never past the
-            # clock, and identical across stepping modes
-            self._spans.commit(self._now)
+
+    def _advance_ps(self, t: float, limit: float) -> None:
+        """Advance the PS members due by ``limit``, in member order."""
+        heap = self._ps_heap
+        nxt = self._ps_next
+        due = set()
+        while heap and heap[0][0] <= limit:
+            w, i = heapq.heappop(heap)
+            if nxt[i] == w:
+                due.add(i)
+        for i in sorted(due):
+            st = self._ps[i]
+            st.advance_to(t)
+            # the scalar contract puts the next internal event beyond t;
+            # re-keying here covers an advance that fired no reschedule
+            w = st.next_event_time()
+            if w != nxt[i]:
+                nxt[i] = w
+                if w < _INF:
+                    heapq.heappush(heap, (w, i))
 
     def sync_to(self, t: float) -> None:
         self.advance_to(t)
-        self._spans.commit(t)
         for st in self._ps:
             st.sync_to(t)
         for st in self._fcfs:
+            if st._bank_live:
+                self._credit(st, t)
             if t > st.local_time:
                 st.local_time = t
         if t > self.local_time:
@@ -467,7 +419,7 @@ class BatchedTier(Agent):
         return self._inflight + sum(ps.queue_length() for ps in self._ps)
 
     def idle(self) -> bool:
-        if self._inflight or len(self._spans):
+        if self._inflight:
             return False
         return all(ps.queue_length() == 0 for ps in self._ps)
 
@@ -541,7 +493,7 @@ def vectorize_agents(sim, agents, name: str = "tier") -> List[Agent]:
             bank.adopt_fcfs(agent)
         else:
             sim.add_agent(agent)
-    if bank._stations:
+    if bank._fcfs or bank._ps:
         register_driver(sim, bank)
         drivers.append(bank)
     return drivers

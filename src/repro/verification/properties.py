@@ -177,7 +177,7 @@ def drive_station(
     """Drive a fresh station through one arrival/demand sequence.
 
     Builds the station from ``factory``, registers it either as its own
-    scalar engine agent or behind the batched struct-of-arrays substrate
+    scalar engine agent or behind the batched substrate
     (``kernel="vector"``), submits one job per ``(arrival, demand)``
     burst and runs to drain.  Returns ``(completions, busy_time)``
     where ``completions`` lists ``(arrival_index, completion_time)`` in

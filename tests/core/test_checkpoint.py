@@ -228,14 +228,14 @@ def test_resume_detects_state_drift(tmp_path):
                  checkpoint=CheckpointOptions(resume_from=ck))
 
 
-def _interrupted(tmp_path, mode="event"):
+def _interrupted(tmp_path, mode="event", kernel="scalar", collect=None):
     """A run toward t=60 that dies at t=45, its last checkpoint at 40."""
     ck = tmp_path / "ck.json"
-    session = portal_scenario().prepare(mode=mode)
+    session = portal_scenario().prepare(mode=mode, kernel=kernel,
+                                        collect=collect)
     session._until = 60.0
     session.arm_checkpoints(10.0, ck)
-    session._workloads_started = True
-    session._start_workloads(60.0)
+    session._drive_workloads(60.0)
     session.sim.run(45.0)
     return ck
 
@@ -271,3 +271,41 @@ def test_resume_rejects_an_engine_unlike_the_checkpoint(tmp_path, engine):
                     engine=EngineOptions(mode="event", dt=0.01),
                     checkpoint=CheckpointOptions(resume_from=ck))
     assert same.until == 60.0
+
+
+@pytest.mark.parametrize("written, asked", [("scalar", "vector"),
+                                            ("vector", "scalar")])
+def test_resume_rejects_a_kernel_unlike_the_checkpoint(tmp_path, written,
+                                                      asked):
+    ck = _interrupted(tmp_path, kernel=written)
+    assert read_checkpoint(ck)["kernel"] == written
+    with pytest.raises(CheckpointError, match=f"kernel={written!r}"):
+        simulate(portal_scenario(), engine=EngineOptions(kernel=asked),
+                 checkpoint=CheckpointOptions(resume_from=ck))
+
+
+def test_vector_kernel_killed_and_resumed_equals_uninterrupted(tmp_path):
+    """Kill a vector-kernel run at t=45, resume from its t=40 checkpoint:
+    records and every agent's busy time equal an uninterrupted vector
+    run with the same checkpoint cadence (each checkpoint syncs the
+    stations, which splits their busy-time sums)."""
+    collect = Collect(sample_interval=5.0)
+    observe = ObservabilityOptions(collect=collect)
+    ck = _interrupted(tmp_path, kernel="vector", collect=collect)
+    full = simulate(portal_scenario(), until=60.0,
+                    engine=EngineOptions(kernel="vector"),
+                    observability=observe,
+                    checkpoint=CheckpointOptions(
+                        every=10.0, path=tmp_path / "ref.json"))
+    resumed = simulate(portal_scenario(), observability=observe,
+                       checkpoint=CheckpointOptions(resume_from=ck))
+    assert resumed.session._kernel == "vector"  # the checkpoint's kernel
+    assert resumed.until == 60.0
+    assert any(r.start > 40.0 for r in resumed.records)
+    assert result_key(resumed) == result_key(full)
+
+    def busy(result):
+        return {name: tel.busy_time.hex()
+                for name, tel in result.telemetry().items()}
+
+    assert busy(resumed) == busy(full)

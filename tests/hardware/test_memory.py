@@ -65,3 +65,18 @@ def test_sample_reports_occupancy_fraction():
     sample = mem.sample(1.0)
     assert sample["utilization"] == pytest.approx(0.25)
     assert sample["occupancy_bytes"] == 25.0
+
+
+def test_cold_cache_builds_no_generator_and_draws_nothing():
+    mem = Memory("m", size_bytes=100.0, seed=42)
+    assert not any(mem.is_cache_hit() for _ in range(100))
+    assert mem._stream is None  # no generator was ever built
+
+
+def test_warm_cache_draws_the_seeded_sequence():
+    import random
+
+    mem = Memory("m", size_bytes=100.0, cache_hit_rate=0.3, seed=7)
+    rng = random.Random(7)
+    assert ([mem.is_cache_hit() for _ in range(200)]
+            == [rng.random() < 0.3 for _ in range(200)])

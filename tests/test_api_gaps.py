@@ -109,16 +109,20 @@ def test_scenario_json_round_trip(tmp_path):
 
 
 def test_simulation_session_reuse():
-    from repro.api import Collect, Scenario
+    """A second run() to a later horizon extends the open-loop arrivals:
+    run to 30 then to 60 equals a fresh run to 60."""
+    from repro.api import Collect
+    from tests.core.test_checkpoint import portal_scenario, result_key
 
-    sc = Scenario.from_spec("consolidation")
-    sc.scale = 0.01
-    session = sc.prepare(collect=Collect(sample_interval=30.0))
-    first = session.run(60.0)
-    second = session.run(120.0)
-    assert second.until == 120.0
-    assert len(second.records) >= len(first.records)
-    assert session.collector.series("cpu.DNA.db")
+    session = portal_scenario().prepare(collect=Collect(sample_interval=5.0))
+    first = session.run(30.0)
+    second = session.run(60.0)
+    assert second.until == 60.0
+    fresh = portal_scenario().prepare(
+        collect=Collect(sample_interval=5.0)).run(60.0)
+    assert len(first.records) < len(second.records)
+    assert any(r.start > 30.0 for r in second.records)
+    assert result_key(second) == result_key(fresh)
 
 
 # ----------------------------------------------------------------------
