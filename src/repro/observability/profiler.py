@@ -5,13 +5,16 @@ time): boundary selection, waking due agents, event-calendar firing and
 monitor callbacks (the collector).  Profiling hooks are gated on a flag
 inside the unified run loop, so the unprofiled hot path stays cheap.
 
-Sharded runs (PR 7) add *backend* phases recorded by each worker around
-the engine: ``window_advance`` (compute inside conservative windows —
-the engine phases above subdivide it), ``envelope_exchange`` (flushing
-the outbox and scheduling incoming envelopes at window boundaries) and
-``barrier_wait`` (blocked on the coordinator's window barrier — the
-direct measure of shard skew).  :class:`MergedProfile` folds per-shard
-profiles into one result-side view.
+Sharded runs (PR 7) add *backend* phases that split each worker's life
+around the engine: ``prepare`` (building the shard's session and
+starting its workloads), ``handshake`` (the receivers round trip with
+the coordinator), ``window_advance`` (compute inside conservative
+windows — the engine phases above subdivide it), ``envelope_exchange``
+(flushing the outbox and scheduling incoming envelopes at window
+boundaries), ``barrier_wait`` (blocked on the coordinator's window
+barrier — the direct measure of shard skew) and ``collect`` (building,
+pickling and queueing the result payload).  :class:`MergedProfile`
+folds per-shard profiles into one result-side view.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 #: Engine phases, in loop order.
 PHASES: Tuple[str, ...] = ("step_select", "wake", "events", "monitors")
 
-#: Sharded-backend phases recorded by each worker around the engine.
-#: ``window_advance`` is wall time *inside* windows (the engine phases
-#: subdivide it); the other two partition the synchronization overhead.
+#: Sharded-backend phases of each worker's life, in order; they do not
+#: overlap, so their shares split the worker's wall.  ``window_advance``
+#: is wall time *inside* windows (the engine phases subdivide it).
 BACKEND_PHASES: Tuple[str, ...] = (
-    "window_advance", "envelope_exchange", "barrier_wait")
+    "prepare", "handshake", "window_advance", "envelope_exchange",
+    "barrier_wait", "collect")
 
 
 class EngineProfiler:

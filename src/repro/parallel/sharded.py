@@ -35,18 +35,22 @@ Equivalence with the single-process engine rests on three facts:
 
 The merge path reuses the mergeable observability plane: records
 concatenate (sorted deterministically), collector samples join by
-sample time, telemetry dicts union (each agent is owned by exactly one
-shard), metrics registries fold via
-:meth:`~repro.observability.metrics.MetricsRegistry.merge_dicts`, and
-per-shard checkpoint fingerprints hash into one combined fingerprint.
+sample time, telemetry rows union into one
+:class:`~repro.observability.telemetry.AgentTelemetry` per agent (each
+agent is owned by exactly one shard), and metrics registries fold via
+:meth:`~repro.observability.metrics.MetricsRegistry.merge_dicts`.  Each
+worker pickles its result itself, so a payload that cannot cross the
+process boundary fails as a :class:`~repro.core.errors.WorkerError`
+naming the shard instead of vanishing in the queue's feeder thread.
 
 Distributed observability (PR 7): each worker runs its own
 :class:`~repro.observability.trace.TraceRecorder` (partition-independent
 cascade ids, per-shard span-id bases) with the cascade context riding
 envelopes as a picklable tuple, so a cascade crossing a cut stays one
-trace; per-shard engine profiles plus backend phases
-(``window_advance`` / ``envelope_exchange`` / ``barrier_wait``) merge
-into a :class:`~repro.observability.profiler.MergedProfile`; and a
+trace; per-shard engine profiles plus the backend phases of each
+worker's life (:data:`~repro.observability.profiler.BACKEND_PHASES`)
+merge into a :class:`~repro.observability.profiler.MergedProfile`; the
+coordinator times its own ``start`` / ``results`` / ``merge``; and a
 :class:`~repro.parallel.supervisor.RunSupervisor` folds worker
 heartbeats into live progress, stall detection and shard lifecycle
 events.  See ``docs/parallel.md``.
@@ -55,9 +59,9 @@ events.  See ``docs/parallel.md``.
 from __future__ import annotations
 
 import gc
-import hashlib
 import multiprocessing as mp
 import os
+import pickle
 import queue as _queue
 import time
 from dataclasses import dataclass, field
@@ -76,6 +80,7 @@ from repro.metrics.collector import Snapshot
 from repro.observability.events import EventLog
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.profiler import EngineProfiler, MergedProfile
+from repro.observability.telemetry import AgentTelemetry
 from repro.observability.trace import (
     MergedTrace,
     TraceRecorder,
@@ -103,10 +108,9 @@ class ParallelReport:
     lookahead: float
     shards: Tuple[Tuple[str, ...], ...]
     windows_run: int
-    fingerprint: str
     #: Per-shard compute wall seconds (barrier waits excluded).
     shard_walls: Tuple[float, ...]
-    #: Coordinator wall seconds end to end.
+    #: Coordinator wall seconds end to end, partition to merged result.
     wall_s: float
     #: CPU cores visible to this host — context for the measured wall
     #: numbers (on a single core, shards time-slice; see docs).
@@ -116,10 +120,16 @@ class ParallelReport:
     #: Per-shard CPU seconds (``time.process_time``): contention-free
     #: compute cost even when shards time-slice one core.
     shard_cpus: Tuple[float, ...] = ()
-    #: Per-shard backend-phase seconds (window_advance /
-    #: envelope_exchange / barrier_wait) — always measured, the
-    #: scaling-loss decomposition perfbench reports as ``parallel.*_s``.
+    #: Per-shard seconds of each worker phase, in
+    #: :data:`~repro.observability.profiler.BACKEND_PHASES` order:
+    #: prepare, handshake, the window loop's window_advance /
+    #: envelope_exchange / barrier_wait, and collect.  Always measured;
+    #: perfbench reports the window-loop three as ``parallel.*_s``.
     shard_phases: Tuple[Dict[str, float], ...] = field(default=())
+    #: Coordinator seconds: ``start`` (partition and fork), ``results``
+    #: (waiting for and unpickling the shard payloads) and ``merge``.
+    #: The rest of ``wall_s`` is the handshake and the barrier loop.
+    coordinator_phases: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -130,10 +140,10 @@ class ParallelReport:
                           else self.lookahead),
             "shards": [list(s) for s in self.shards],
             "windows_run": self.windows_run,
-            "fingerprint": self.fingerprint,
             "shard_walls": list(self.shard_walls),
             "shard_cpus": list(self.shard_cpus),
             "shard_phases": [dict(p) for p in self.shard_phases],
+            "coordinator_phases": dict(self.coordinator_phases),
             "wall_s": self.wall_s,
             "cores": self.cores,
             "start_method": self.start_method,
@@ -264,6 +274,18 @@ def _delivery(port: _ShardPort, recorder: Optional[TraceRecorder],
     return deliver
 
 
+def _telemetry_row(agent: Any) -> tuple:
+    """One agent's :meth:`~repro.core.agent.Agent.telemetry` as a plain
+    row in :class:`~repro.observability.telemetry.AgentTelemetry` field
+    order, ``extras`` as ``None`` when empty: rows build and pickle far
+    cheaper than dataclasses, and the coordinator builds each
+    ``AgentTelemetry`` once, in its merge."""
+    return (agent.name, agent.agent_type, agent.arrivals,
+            agent._completions(), agent.drops, agent._busy_seconds(),
+            agent.queue_length(), agent.queue_hwm, agent.retries,
+            agent.timeouts, agent.shed, agent._telemetry_extras() or None)
+
+
 def _shard_worker(idx: int, scenario: Scenario, plan: PartitionPlan,
                   until: float, window: float, options: ParallelOptions,
                   engine: EngineOptions, observability: ObservabilityOptions,
@@ -272,8 +294,12 @@ def _shard_worker(idx: int, scenario: Scenario, plan: PartitionPlan,
     """One shard: build a session over owned DCs, window to the horizon.
 
     Runs in a child process; every argument but the queues is
-    picklable.
+    picklable.  The result ships as ``("result", idx, blob, collect_s)``
+    with the payload pickled here, inside the ``try``, so a payload
+    that cannot be pickled fails the shard instead of being dropped by
+    the queue's feeder thread.
     """
+    born = time.perf_counter()
     try:
         shard_of = {dc: i for i, shard in enumerate(plan.shards)
                     for dc in shard}
@@ -288,25 +314,28 @@ def _shard_worker(idx: int, scenario: Scenario, plan: PartitionPlan,
             resilience=resilience, metrics=obs.metrics, slo=obs.slo,
             shard=plan.shards[idx], remote=port,
         )
-        # handshake: report this shard's receivers, learn the fleet's
-        outbox.put(port.receivers())
-        receivers = inbox.get()
-        port.seal(receivers)
         if workloads:
             session._drive_workloads(until)
         if session.events is not None:
             session.events.emit("run_start", session.sim.now, until=until,
                                 mode=engine.mode, scenario=scenario.name,
                                 shard=idx)
+        prepared = time.perf_counter()
+        # handshake: report this shard's receivers, learn the fleet's
+        outbox.put(port.receivers())
+        receivers = inbox.get()
+        port.seal(receivers)
         # backend phases are always measured (three perf_counter reads
         # per window): window_advance = compute inside windows,
         # envelope_exchange = outbox flush + incoming scheduling,
         # barrier_wait = blocked on the coordinator's window barrier
-        phases = {"window_advance": 0.0, "envelope_exchange": 0.0,
+        wall0 = time.perf_counter()
+        phases = {"prepare": prepared - born, "handshake": wall0 - prepared,
+                  "window_advance": 0.0, "envelope_exchange": 0.0,
                   "barrier_wait": 0.0}
         hb_every = options.heartbeat_every
-        hb_last = [time.perf_counter()]
-        mark = [0.0]
+        hb_last = [wall0]
+        mark = [wall0]
 
         def exchange(_t0: float, t1: float) -> None:
             enter = done = time.perf_counter()
@@ -349,29 +378,32 @@ def _shard_worker(idx: int, scenario: Scenario, plan: PartitionPlan,
                     pass
             mark[0] = time.perf_counter()
 
-        wall0 = time.perf_counter()
         cpu0 = time.process_time()
-        mark[0] = wall0
         windows = session.sim.run_windowed(until, window,
                                            at_window_end=exchange)
-        wall = time.perf_counter() - wall0 - phases["barrier_wait"]
+        ran = time.perf_counter()
+        wall = ran - wall0 - phases["barrier_wait"]
         # CPU seconds exclude both queue waits and time-sliced-out
         # periods, so they stay meaningful when shards contend for one
         # core (the scaling projection divides by the slowest shard's
         # CPU, not its contention-inflated wall)
         cpu = time.process_time() - cpu0
+        # collect (build, pickle and queue the payload) is timed from
+        # here, so its seconds ship beside the payload and the
+        # coordinator adds them to this shard's profile
         profiler = session.sim.profiler
         if profiler is not None:
-            for phase, sec in phases.items():
-                profiler.record(phase, sec, calls=windows)
+            profiler.record("prepare", phases["prepare"])
+            profiler.record("handshake", phases["handshake"])
+            for phase in ("window_advance", "envelope_exchange",
+                          "barrier_wait"):
+                profiler.record(phase, phases[phase], calls=windows)
         if session.events is not None:
             session.events.emit("run_end", session.sim.now,
                                 records=len(session.runner.records),
                                 shard=idx)
-        from repro.core.checkpoint import state_fingerprint
-
         collector = session.collector
-        results.put(("result", {
+        blob = pickle.dumps({
             "idx": idx,
             "shard": list(plan.shards[idx]),
             "now": session.sim.now,
@@ -384,8 +416,7 @@ def _shard_worker(idx: int, scenario: Scenario, plan: PartitionPlan,
             "snapshots": ([(s.time, dict(s.values))
                            for s in collector.snapshots]
                           if collector is not None else None),
-            "telemetry": {a.name: a.telemetry()
-                          for a in session.topology_agents},
+            "telemetry": [_telemetry_row(a) for a in session.topology_agents],
             "metrics": (session.metrics.to_dict()
                         if session.metrics is not None else None),
             "events": (session.events.events()
@@ -403,12 +434,12 @@ def _shard_worker(idx: int, scenario: Scenario, plan: PartitionPlan,
             } if recorder is not None else None),
             "profile": (profiler.to_dict() if profiler is not None
                         else None),
-            "backend_phases": dict(phases),
-            "fingerprint": state_fingerprint(session)["hash"],
+            "backend_phases": phases,
             "wall_s": wall,
             "cpu_s": cpu,
             "sent": port.sent,
-        }))
+        }, pickle.HIGHEST_PROTOCOL)
+        results.put(("result", idx, blob, time.perf_counter() - ran))
     except BaseException as exc:  # ship the failure, don't hang the fleet
         import traceback
 
@@ -437,34 +468,40 @@ def _worker_error(idx: int, info: Any,
     return WorkerError(message, shard=idx, dcs=dcs, details=details)
 
 
-def _check_failures(results, procs, stash: List[Any],
+def _check_failures(results, procs, stash: Dict[int, tuple],
                     supervisor: Optional[RunSupervisor] = None) -> None:
     """Surface worker errors/deaths while the coordinator waits.
 
-    Result payloads that arrive while polling are parked in ``stash``
-    (a worker can finish and report before the coordinator gets there).
-    Heartbeats drain and stall detection runs on the same cadence.
+    Result messages that arrive while polling are parked in ``stash``
+    by shard index (a worker can finish and report before the
+    coordinator gets there).  A worker flushes its queued messages
+    before it exits, so one that had exited before the drain below and
+    left no result there failed, whatever its exit code.  Heartbeats
+    drain and stall detection runs on the same cadence.
     """
+    exitcodes = [p.exitcode for p in procs]
     try:
         while True:
             msg = results.get_nowait()
             if msg[0] == "error":
                 raise _worker_error(msg[1], msg[2], supervisor)
-            stash.append(msg)
+            stash[msg[1]] = msg
     except _queue.Empty:
         pass
-    for i, p in enumerate(procs):
-        if p.exitcode not in (None, 0):
+    for i, code in enumerate(exitcodes):
+        if code is not None and (code != 0 or i not in stash):
             raise _worker_error(
                 i, {"dcs": (supervisor.shards[i].dcs
                             if supervisor is not None else ()),
-                    "error": f"process died with exit code {p.exitcode}"},
+                    "error": (f"process died with exit code {code}"
+                              if code else
+                              "process exited without shipping a result")},
                 supervisor)
     if supervisor is not None:
         supervisor.poll()
 
 
-def _recv(q, results, procs, stash: List[Any], what: str,
+def _recv(q, results, procs, stash: Dict[int, tuple], what: str,
           supervisor: Optional[RunSupervisor] = None,
           bounded: bool = True):
     """Blocking queue read that still notices a dead/failed worker.
@@ -535,9 +572,9 @@ def run_sharded(
             "parallel execution builds one TraceRecorder per worker "
             "process and cannot adopt a prebuilt instance; pass a spec "
             "string ('full', 'sampling', 'sampling:p') instead")
+    wall0 = time.perf_counter()
     plan = partition_topology(scenario.topology, options.workers,
                               options.cut)
-    wall0 = time.perf_counter()
     if plan.workers <= 1:
         session = scenario.prepare(
             dt=engine.dt, mode=engine.mode, kernel=engine.kernel,
@@ -548,7 +585,7 @@ def run_sharded(
         result.parallel = ParallelReport(
             workers=1, cut=options.cut, window=until,
             lookahead=plan.lookahead, shards=plan.shards, windows_run=1,
-            fingerprint="", shard_walls=(),
+            shard_walls=(),
             wall_s=time.perf_counter() - wall0,
             cores=os.cpu_count() or 1, start_method="none",
         )
@@ -583,7 +620,7 @@ def run_sharded(
         )
         for i in range(plan.workers)
     ]
-    stash: List[Any] = []
+    stash: Dict[int, tuple] = {}
     shard_of = {dc: i for i, shard in enumerate(plan.shards) for dc in shard}
     envelopes = 0
     try:
@@ -604,6 +641,7 @@ def run_sharded(
                 supervisor.note_started(i)
         finally:
             gc.unfreeze()
+        started = time.perf_counter()
         # handshake: the fleet's receivers are the union of every
         # shard's on_message data centers.  With none, no envelope can
         # ever be delivered, so the lookahead is infinite and the run
@@ -641,25 +679,25 @@ def run_sharded(
             t = window_end
             supervisor.note_window(window_end)
             supervisor.poll()
-        payloads: Dict[int, Dict[str, Any]] = {}
-        while len(payloads) < plan.workers:
-            while stash:
-                msg = stash.pop()
-                payloads[msg[1]["idx"]] = msg[1]
-            if len(payloads) >= plan.workers:
-                break
+        waited = time.perf_counter()
+        while len(stash) < plan.workers:
             msg = _recv(results, results, procs, stash, "shard results",
                         supervisor, bounded=bool(fleet_receivers))
             if msg[0] == "error":
                 raise _worker_error(msg[1], msg[2], supervisor)
-            payloads[msg[1]["idx"]] = msg[1]
+            stash[msg[1]] = msg
+        shards = []
+        for i in range(plan.workers):
+            _, _, blob, collect_s = stash[i]
+            shard = pickle.loads(blob)
+            shard["backend_phases"]["collect"] = collect_s
+            shards.append(shard)
         if not fleet_receivers:
             windows_run = 1
             supervisor.note_window(until)
-        for idx in range(plan.workers):
-            supervisor.note_finished(
-                idx, now=payloads[idx]["now"],
-                records=len(payloads[idx]["records"]))
+        for idx, shard in enumerate(shards):
+            supervisor.note_finished(idx, now=shard["now"],
+                                     records=len(shard["records"]))
         supervisor.finish()
         for p in procs:
             p.join(timeout=10.0)
@@ -669,9 +707,8 @@ def run_sharded(
         for p in procs:
             if p.is_alive():
                 p.terminate()
-    wall = time.perf_counter() - wall0
+    received = time.perf_counter()
 
-    shards = [payloads[i] for i in range(plan.workers)]
     shard_labels = [",".join(s["shard"]) for s in shards]
     records = sorted(
         (r for s in shards for r in s["records"]),
@@ -709,19 +746,21 @@ def run_sharded(
         )
     merged_profile = None
     if any(s["profile"] is not None for s in shards):
-        merged_profile = MergedProfile(
-            [EngineProfiler.from_dict(s["profile"]) for s in shards
-             if s["profile"] is not None],
-            shard_labels=shard_labels,
-        )
+        profiles = []
+        for shard in shards:
+            if shard["profile"] is not None:
+                prof = EngineProfiler.from_dict(shard["profile"])
+                prof.record("collect", shard["backend_phases"]["collect"])
+                profiles.append(prof)
+        merged_profile = MergedProfile(profiles, shard_labels=shard_labels)
+    rows = {row[0]: row for s in shards for row in s["telemetry"]}
     telemetry: Dict[str, Any] = {}
-    union = {name: tel for s in shards for name, tel in s["telemetry"].items()}
     for agent in scenario.topology.all_agents():
-        if agent.name in union:
-            telemetry[agent.name] = union[agent.name]
-    combined = hashlib.sha256("\n".join(
-        f"{s['idx']}:{s['fingerprint']}" for s in shards
-    ).encode()).hexdigest()
+        row = rows.get(agent.name)
+        if row is not None:
+            telemetry[agent.name] = AgentTelemetry(*row[:-1],
+                                                   extras=row[-1] or {})
+    merged = time.perf_counter()
     report = ParallelReport(
         workers=plan.workers,
         cut=plan.cut,
@@ -729,11 +768,13 @@ def run_sharded(
         lookahead=lookahead,
         shards=plan.shards,
         windows_run=windows_run,
-        fingerprint=combined,
         shard_walls=tuple(s["wall_s"] for s in shards),
         shard_cpus=tuple(s["cpu_s"] for s in shards),
-        shard_phases=tuple(dict(s["backend_phases"]) for s in shards),
-        wall_s=wall,
+        shard_phases=tuple(s["backend_phases"] for s in shards),
+        coordinator_phases={"start": started - wall0,
+                            "results": received - waited,
+                            "merge": merged - received},
+        wall_s=merged - wall0,
         cores=os.cpu_count() or 1,
         start_method=start_method,
         envelopes=envelopes,

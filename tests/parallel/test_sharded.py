@@ -241,7 +241,6 @@ def test_sharded_merges_metrics_and_telemetry():
     assert report.window == 4.0
     assert all(p["barrier_wait"] == 0.0 for p in report.shard_phases)
     assert len(report.shard_walls) == 2
-    assert report.fingerprint
 
 
 def _slow_window_setup(session):
@@ -371,11 +370,18 @@ def test_report_carries_backend_phases():
     report = result.parallel
     assert len(report.shard_phases) == 2
     for phases in report.shard_phases:
-        assert set(phases) == {"window_advance", "envelope_exchange",
-                               "barrier_wait"}
+        assert set(phases) == {"prepare", "handshake", "window_advance",
+                               "envelope_exchange", "barrier_wait",
+                               "collect"}
         assert all(v >= 0.0 for v in phases.values())
+        # a worker's phases do not overlap and lie inside the run
+        assert sum(phases.values()) <= report.wall_s
+    assert set(report.coordinator_phases) == {"start", "results", "merge"}
+    assert all(v >= 0.0 for v in report.coordinator_phases.values())
+    assert sum(report.coordinator_phases.values()) <= report.wall_s
     doc = report.to_dict()
     assert doc["shard_phases"] == [dict(p) for p in report.shard_phases]
+    assert doc["coordinator_phases"] == report.coordinator_phases
     # the merged profile carries the same phases plus barrier skew
     merged = result.profile
     assert merged.barrier_skew() >= 0.0
@@ -427,6 +433,67 @@ def test_worker_failure_is_structured():
     assert err.value.shard >= 0
     assert err.value.dcs and "DNA" not in err.value.dcs
     assert "boom" in err.value.details  # full worker traceback aboard
+
+
+_FAILING_PAYLOAD = """
+import json, os, sys, threading
+
+from repro.api import ParallelOptions, simulate
+from repro.core.errors import WorkerError
+from repro.software.cascade import OperationRecord
+from repro.studies.fleet import fleet_scenario, fleet_setup
+
+
+def setup(session):
+    fleet_setup(session)
+    if session.owns("R00"):
+        if sys.argv[1] == "unpicklable":
+            session.runner.records.append(OperationRecord(
+                "OPEN", threading.Lock(), "R00", 0.0, 0.0))
+        else:
+            os._exit(0)
+
+
+sc = fleet_scenario(2)
+sc = type(sc)(**{**sc.__dict__, "setup": setup})
+try:
+    simulate(sc, until=2.0, parallel=ParallelOptions(workers=2))
+except WorkerError as exc:
+    print(json.dumps({"dcs": list(exc.dcs), "message": str(exc)}))
+"""
+
+
+@pytest.mark.parametrize("failure,message", [
+    ("unpicklable", "cannot pickle"),
+    ("silent-exit", "exited without shipping a result"),
+])
+def test_worker_that_ships_no_result_fails_the_run(failure, message):
+    """A shard whose result cannot be pickled, or that exits 0 without
+    one, fails the run naming the shard instead of hanging the
+    coordinator (run in a subprocess so a regression times out)."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _FAILING_PAYLOAD, failure], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the workers too
+        proc.communicate()
+        pytest.fail(f"{failure}: the coordinator hung")
+    assert proc.returncode == 0, err
+    report = json.loads(out.strip().splitlines()[-1])
+    assert "R00" in report["dcs"]
+    assert message in report["message"]
 
 
 def _short_hop_setup(session):
