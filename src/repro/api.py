@@ -1146,12 +1146,14 @@ class SimulationResult:
         empty Chrome-trace document rather than failing, so export
         pipelines are safe to run unconditionally.  A merged sharded
         trace exports with one ``pid`` lane per shard and flow events
-        on cross-shard hops.
+        on cross-shard hops.  The file is written from the recorder's
+        span rows; no ``Span`` list is built.
         """
         from repro.observability.exporters import write_chrome_trace
 
         return write_chrome_trace(
-            str(path), self.spans(), self.cascades(),
+            str(path), [] if self.trace is None else self.trace.rows(),
+            self.cascades(),
             shard_labels=getattr(self.trace, "shard_labels", None),
             flows=getattr(self.trace, "flows", None) or ())
 

@@ -123,13 +123,14 @@ class Agent(ABC):
         the discrete loop.
         """
         job.enqueue_time = now
+        if self._tracer is not None:
+            # before enqueueing: a job can finish inside ``enqueue``
+            self._tracer.on_submit(self, job, now)
         self.enqueue(job, now)
         self.arrivals += 1
         depth = self.queue_length()
         if depth > self.queue_hwm:
             self.queue_hwm = depth
-        if self._tracer is not None:
-            self._tracer.on_submit(self, job, now)
         # no metrics bump here: agent_arrivals_total is derived from the
         # ``arrivals`` telemetry counter at collect time (engine hook)
         if self._waker is not None:

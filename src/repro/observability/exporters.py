@@ -9,9 +9,19 @@ Three output formats:
   figures (Figs 6-15..6-20).
 * Plain-text telemetry tables for the CLI.
 
-Everything here is pure formatting over duck-typed span/telemetry
-records; the module imports nothing from ``repro.core`` or
-``repro.fluid``.
+Everything here is pure formatting over span rows (or duck-typed
+span objects) and telemetry records; the module imports nothing from
+``repro.core`` or ``repro.fluid``.
+
+The Chrome export reads the recorder's span rows directly.  One routine
+(:func:`_trace_events`) assigns pids and lanes and orders the events
+for both the dict form and the file writer.  The writer turns each span
+into text through its lane's ``%`` template, built once from
+``json.encoder.encode_basestring_ascii`` strings, with the numbers put
+in through ``%r`` (``float.__repr__`` is what ``json`` writes); a span
+with any other number (NaN, infinities, numeric subclasses) and every
+metadata, cascade and flow event go through the JSON encoder, so the
+file is byte for byte ``json.dumps`` of the dict form.
 """
 
 from __future__ import annotations
@@ -20,8 +30,10 @@ import contextlib
 import json
 import os
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -32,6 +44,8 @@ from typing import (
     Tuple,
 )
 
+from repro.observability.trace import SpanRow, span_row
+
 MICRO = 1e6  # trace_event timestamps are microseconds
 
 #: Waterfall rows: (label, inflated seconds) in execution order.
@@ -41,22 +55,29 @@ WaterfallRow = Tuple[str, float]
 # ----------------------------------------------------------------------
 # Chrome trace_event JSON
 # ----------------------------------------------------------------------
-#: Events per C-encoder call in ``write_chrome_trace``: enough to amortise
-#: the call, few enough that one slice's dicts and text stay a few MB
-#: however long the trace is.
+#: Events per write in ``write_chrome_trace``: enough to amortise the
+#: call, few enough that one slice's text stays a few MB however long
+#: the trace is.
 _CHUNK_EVENTS = 1024
 
+_NUMBERS = (int, float)
 
-def _iter_chrome_trace_events(
+
+def _trace_events(
     spans: Iterable[Any],
-    cascades: Iterable[Any] = (),
-    shard_labels: Optional[Sequence[str]] = None,
-    flows: Iterable[Mapping[str, Any]] = (),
-) -> Iterator[Dict[str, Any]]:
-    """Yield the ``trace_event`` dicts of ``chrome_trace_events`` lazily.
+    cascades: Iterable[Any],
+    shard_labels: Optional[Sequence[str]],
+    flows: Iterable[Mapping[str, Any]],
+    span_event: Callable[[SpanRow, int, int], Any],
+) -> Iterator[Any]:
+    """Yield every trace event in document order, lazily.
 
-    Order: shard metadata, cascades, spans (each lane's ``thread_name``
-    just before its first span), then flow ``s``/``f`` pairs.
+    The one place that assigns pids and lanes and orders the events:
+    shard metadata, cascades, spans (each lane's ``thread_name`` just
+    before its first span), then flow ``s``/``f`` pairs.  Span events
+    are whatever ``span_event(row, pid, tid)`` returns; all others are
+    ``trace_event`` dicts.  ``spans`` may hold span rows or
+    :class:`~repro.observability.trace.Span`-like objects.
     """
     lanes: Dict[Tuple[int, str], int] = {}
     pid_next_tid: Dict[int, int] = {}
@@ -113,36 +134,24 @@ def _iter_chrome_trace_events(
             },
         }
 
-    for s in spans:
-        pid = getattr(s, "shard", 0) + 1
-        key = (pid, s.agent)
-        tid = lanes.get(key)
+    for row in spans:
+        if type(row) is not tuple:  # a Span-like object, not a row
+            row = span_row(row)
+        pid = row[10] + 1
+        agent = row[2]
+        tid = lanes.get((pid, agent))
         if tid is None:
             yield from new_pid(pid)
-            tid = lanes[key] = pid_next_tid[pid]
+            tid = lanes[(pid, agent)] = pid_next_tid[pid]
             pid_next_tid[pid] += 1
             yield {
                 "name": "thread_name",
                 "ph": "M",
                 "pid": pid,
                 "tid": tid,
-                "args": {"name": s.agent},
+                "args": {"name": agent},
             }
-        yield {
-            "name": str(s.tag) if s.tag is not None else s.agent,
-            "cat": s.agent_type,
-            "ph": "X",
-            "ts": s.start * MICRO,
-            "dur": max(s.end - s.start, 0.0) * MICRO,
-            "pid": pid,
-            "tid": tid,
-            "args": {
-                "cascade": s.cascade_id,
-                "agent": s.agent,
-                "wait_s": s.wait,
-                "demand": s.demand,
-            },
-        }
+        yield span_event(row, pid, tid)
 
     for i, hop in enumerate(flows):
         src_pid = int(hop.get("src_shard", 0)) + 1
@@ -175,6 +184,84 @@ def _iter_chrome_trace_events(
         }
 
 
+def _span_dict(row: SpanRow, pid: int, tid: int) -> Dict[str, Any]:
+    """One span's ``X`` event as a ``trace_event`` dict."""
+    cascade_id, _, agent, agent_type, tag, demand, enqueue, start, end = \
+        row[:9]
+    return {
+        "name": str(tag) if tag is not None else agent,
+        "cat": agent_type,
+        "ph": "X",
+        "ts": start * MICRO,
+        "dur": max(end - start, 0.0) * MICRO,
+        "pid": pid,
+        "tid": tid,
+        "args": {
+            "cascade": cascade_id,
+            "agent": agent,
+            "wait_s": start - enqueue,
+            "demand": demand,
+        },
+    }
+
+
+def _lane_template(agent: str, agent_type: str, pid: int, tid: int) -> str:
+    """The JSON text of a span event on one lane: the event name as
+    ``%s`` (already JSON text), its five numbers as ``%r`` (``ts``,
+    ``dur``, ``cascade``, ``wait_s``, ``demand``)."""
+
+    def text(value: str) -> str:
+        return encode_basestring_ascii(value).replace("%", "%%")
+
+    return (f'{{"name": %s, "cat": {text(agent_type)}, "ph": "X", '
+            f'"ts": %r, "dur": %r, "pid": {pid}, "tid": {tid}, '
+            f'"args": {{"cascade": %r, "agent": {text(agent)}, '
+            f'"wait_s": %r, "demand": %r}}}}')
+
+
+def _span_texts() -> Callable[[SpanRow, int, int], Any]:
+    """A span-event builder for the file writer: JSON text from a lane
+    template, or the event dict for the encoder.
+
+    A template is built once per lane and category (agent, agent type,
+    pid).  It formats the numbers with ``%r``, which is
+    ``float.__repr__`` -- what ``json`` writes -- for exactly the finite
+    ``float`` and ``int`` values; a row with any other number (NaN, an
+    infinity, a numeric subclass) or a non-``str`` agent or agent type
+    yields the dict instead.
+    """
+    templates: Dict[Tuple[str, str, int], str] = {}
+
+    def span_text(row: SpanRow, pid: int, tid: int) -> Any:
+        (cascade_id, _, agent, agent_type, tag, demand, enqueue, start, end,
+         _, _) = row
+        ts = start * MICRO
+        dur = end - start
+        dur = (0.0 if dur < 0.0 else dur) * MICRO  # max(dur, 0.0), NaN kept
+        wait = start - enqueue
+        if (type(ts) is float and type(dur) is float
+                and type(wait) in _NUMBERS and type(demand) in _NUMBERS
+                and type(cascade_id) is int and type(pid) is int
+                and type(agent) is str and type(agent_type) is str):
+            try:
+                total = ts + dur + wait + demand
+            except OverflowError:  # an int too large for a float
+                return _span_dict(row, pid, tid)
+            if total - total == 0.0:  # all four finite
+                key = (agent, agent_type, pid)
+                template = templates.get(key)
+                if template is None:
+                    template = templates[key] = _lane_template(
+                        agent, agent_type, pid, tid)
+                name = tag if type(tag) is str else (
+                    agent if tag is None else str(tag))
+                return template % (encode_basestring_ascii(name), ts, dur,
+                                   cascade_id, wait, demand)
+        return _span_dict(row, pid, tid)
+
+    return span_text
+
+
 def chrome_trace_events(
     spans: Iterable[Any],
     cascades: Iterable[Any] = (),
@@ -183,20 +270,21 @@ def chrome_trace_events(
 ) -> List[Dict[str, Any]]:
     """Convert spans (+ optional cascades) to ``trace_event`` dicts.
 
-    Each shard becomes a process lane (``pid`` = shard + 1, named from
-    ``shard_labels``; single-process traces collapse to one ``pid 1``
-    lane) and each agent its own thread lane within it (named via ``M``
-    metadata events); cascades land on a dedicated lane 0 so operations
-    and their hops line up vertically.  Spans become ``X`` complete
-    events whose ``args`` carry the cascade id, queueing delay and
-    demand.  ``flows`` are cross-shard hops (dicts with
+    ``spans`` holds span rows or :class:`~repro.observability.trace.Span`
+    values.  Each shard becomes a process lane (``pid`` = shard + 1,
+    named from ``shard_labels``; single-process traces collapse to one
+    ``pid 1`` lane) and each agent its own thread lane within it (named
+    via ``M`` metadata events); cascades land on a dedicated lane 0 so
+    operations and their hops line up vertically.  Spans become ``X``
+    complete events whose ``args`` carry the cascade id, queueing delay
+    and demand.  ``flows`` are cross-shard hops (dicts with
     ``cascade``/``src``/``dst``/``send``/``arrival``/``src_shard``/
     ``dst_shard``) rendered as flow-event pairs — ``ph:"s"`` on the
     sending shard at send time, ``ph:"f"`` on the receiving shard at
     arrival — so a cascade crossing a cut draws one connected arrow.
     """
-    return list(_iter_chrome_trace_events(
-        spans, cascades, shard_labels=shard_labels, flows=flows))
+    return list(_trace_events(spans, cascades, shard_labels, flows,
+                              _span_dict))
 
 
 def write_chrome_trace(
@@ -210,14 +298,16 @@ def write_chrome_trace(
 
     The file holds exactly the bytes of ``json.dumps({"traceEvents":
     chrome_trace_events(...), "displayTimeUnit": "ms"})``, but the
-    events are streamed: ``_CHUNK_EVENTS`` at a time are built, encoded
-    by one C-encoder call and written, so memory stays bounded by one
-    slice rather than growing with the trace.  The text goes to
-    ``<path>.tmp`` and is renamed over ``path`` only once complete, so a
-    failed export leaves any previous trace at ``path`` untouched.
+    events are streamed: ``_CHUNK_EVENTS`` at a time are turned into
+    text and written, so memory stays bounded by one slice rather than
+    growing with the trace.  A span event's text comes from its lane's
+    template (see :func:`_span_texts`), every other event's from the
+    JSON encoder.  The text goes to ``<path>.tmp`` and is renamed over
+    ``path`` only once complete, so a failed export leaves any previous
+    trace at ``path`` untouched.
     """
-    events = _iter_chrome_trace_events(spans, cascades,
-                                       shard_labels=shard_labels, flows=flows)
+    events = _trace_events(spans, cascades, shard_labels, flows,
+                           _span_texts())
     encode = json.JSONEncoder().encode
     tmp = f"{os.fspath(path)}.tmp"
     n = 0
@@ -225,12 +315,13 @@ def write_chrome_trace(
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write('{"traceEvents": [')
             while True:
-                chunk = list(islice(events, _CHUNK_EVENTS))
+                chunk = [event if type(event) is str else encode(event)
+                         for event in islice(events, _CHUNK_EVENTS)]
                 if not chunk:
                     break
                 if n:
                     fh.write(", ")
-                fh.write(encode(chunk)[1:-1])
+                fh.write(", ".join(chunk))
                 n += len(chunk)
             fh.write('], "displayTimeUnit": "ms"}')
         os.replace(tmp, path)

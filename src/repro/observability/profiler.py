@@ -60,7 +60,15 @@ class EngineProfiler:
     # ------------------------------------------------------------------
     @property
     def accounted_seconds(self) -> float:
-        return sum(self.phase_seconds.values())
+        """Wall seconds the phases account for, each counted once.
+
+        A profile with backend phases counts the engine phases through
+        ``window_advance``, which contains them.
+        """
+        total = sum(self.phase_seconds.values())
+        if "window_advance" in self.phase_seconds:
+            total -= sum(self.phase_seconds.get(p, 0.0) for p in PHASES)
+        return total
 
     def _phase_order(self) -> List[str]:
         """Engine phases first, then any extra recorded phases."""

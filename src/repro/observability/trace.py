@@ -7,11 +7,19 @@ are linked by a *cascade id* so one operation's hops can be reassembled
 into a waterfall, mirroring how the thesis decomposes response times
 across tiers and links (Figs 6-15..6-20).
 
-The :class:`TraceRecorder` is deliberately cheap: spans go into a
-bounded ``deque`` (oldest evicted first) and the sampling decision is
-made *once per cascade*, so a sampled-out operation costs a single hash
-and nothing per hop.  With tracing off the engine never constructs a
-recorder at all and agents pay one ``is not None`` check per submit.
+The :class:`TraceRecorder` is deliberately cheap: each span, resilience
+markers included, is stored as one plain tuple of the :class:`Span`
+fields in field order (a :data:`SpanRow`) in a bounded ``deque``
+(oldest evicted first); no ``Span`` is built while the run records.
+The read API (:meth:`~TraceRecorder.spans`,
+:meth:`~TraceRecorder.spans_by_cascade`, :func:`canonical_spans`)
+builds ``Span`` values on demand, while the Chrome exporter and the
+sharded worker's payload read the rows themselves
+(:meth:`~TraceRecorder.rows`), so an exported run holds one copy of its
+spans.  The sampling decision is made *once per cascade*, so a
+sampled-out operation costs a single hash and nothing per hop.  With
+tracing off the engine never constructs a recorder at all and agents
+pay one ``is not None`` check per submit.
 
 Cascade context propagates through the continuation-passing cascade
 machinery without threading ids through every call: the engine is
@@ -29,12 +37,12 @@ RNG draw, so sharded and single-process runs sample identical cascade
 sets.  Span ids carry a per-shard base (:meth:`TraceRecorder.set_shard`)
 so merged id spaces never collide; :func:`canonical_spans` renumbers a
 span set into content order for cross-backend comparison, and
-:class:`MergedTrace` is the merged, re-parented result-side view.
+:class:`MergedTrace` is the merged, re-parented result-side view over
+the rows the workers ship.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import zlib
 from collections import deque
@@ -106,6 +114,22 @@ class Span:
         return self.end - self.enqueue
 
 
+#: One stored span: a plain tuple of the :class:`Span` fields in field
+#: order, so ``Span(*row)`` is the span and ``row[0]`` its cascade id.
+SpanRow = Tuple[int, int, str, str, Any, float, float, float, float,
+                Optional[int], int]
+
+
+def span_row(span: Union[Span, SpanRow]) -> SpanRow:
+    """The row of a span (any object with the :class:`Span` fields); a
+    row is returned unchanged."""
+    if type(span) is tuple:
+        return span
+    return (span.cascade_id, span.span_id, span.agent, span.agent_type,
+            span.tag, span.demand, span.enqueue, span.start, span.end,
+            getattr(span, "parent_id", None), getattr(span, "shard", 0))
+
+
 @dataclass(slots=True)
 class CascadeInfo:
     """One traced operation instance: the root all its spans link to.
@@ -165,7 +189,7 @@ class TraceRecorder:
         self.mode = mode
         self.sample_rate = sample_rate if mode == "sampling" else 1.0
         self.capacity = int(capacity)
-        self._spans: Deque[Span] = deque(maxlen=self.capacity)
+        self._rows: Deque[SpanRow] = deque(maxlen=self.capacity)
         self._cascades: Deque[CascadeInfo] = deque(maxlen=self.capacity)
         self._seed_mix = _mix64(seed)
         # cascade ids are partition-independent: crc32(client_dc) << 32
@@ -296,24 +320,14 @@ class TraceRecorder:
         """
         if ctx is None or not ctx.sampled:
             return
-        if len(self._spans) == self.capacity:
+        if len(self._rows) == self.capacity:
             self.evicted_spans += 1
-        self._spans.append(
-            Span(
-                cascade_id=ctx.cascade_id,
-                span_id=self._span_base + next(self._span_ids),
-                agent=agent,
-                agent_type="resilience",
-                tag=tag if tag is not None else kind,
-                demand=0.0,
-                enqueue=start,
-                start=start,
-                end=end,
-                parent_id=(self.current_parent
-                           if self.current is ctx else None),
-                shard=self.shard,
-            )
-        )
+        self._rows.append((
+            ctx.cascade_id, self._span_base + next(self._span_ids), agent,
+            "resilience", tag if tag is not None else kind, 0.0, start,
+            start, end,
+            self.current_parent if self.current is ctx else None,
+            self.shard))
 
     # ------------------------------------------------------------------
     # the per-job hook (called from Agent.submit when a tracer is set)
@@ -358,25 +372,14 @@ class TraceRecorder:
         parent_id = self.current_parent
 
         def traced(j: Any, t: float) -> None:
-            if len(self._spans) == self.capacity:
+            rows = self._rows
+            if len(rows) == self.capacity:
                 self.evicted_spans += 1
             enqueue = j.enqueue_time if j.enqueue_time is not None else t
             start = j.start_time if j.start_time is not None else enqueue
-            self._spans.append(
-                Span(
-                    cascade_id=ctx.cascade_id,
-                    span_id=span_id,
-                    agent=agent_name,
-                    agent_type=agent_type,
-                    tag=j.tag,
-                    demand=j.demand,
-                    enqueue=enqueue,
-                    start=start,
-                    end=t,
-                    parent_id=parent_id,
-                    shard=self.shard,
-                )
-            )
+            rows.append((ctx.cascade_id, span_id, agent_name, agent_type,
+                         j.tag, j.demand, enqueue, start, t, parent_id,
+                         self.shard))
             if inner is not None:
                 prev, prev_parent = self.current, self.current_parent
                 self.current, self.current_parent = ctx, span_id
@@ -390,9 +393,17 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
+    def rows(self) -> Sequence[SpanRow]:
+        """The stored span rows, oldest first.
+
+        This is the recorder's own store, not a copy: read it (the
+        exporters and the sharded worker's payload do), never mutate it.
+        """
+        return self._rows
+
     def spans(self) -> List[Span]:
         """All recorded spans, oldest first."""
-        return list(self._spans)
+        return [Span(*row) for row in self._rows]
 
     def cascades(self) -> List[CascadeInfo]:
         """All completed cascades, oldest first."""
@@ -400,21 +411,18 @@ class TraceRecorder:
 
     def spans_by_cascade(self) -> Dict[int, List[Span]]:
         """Spans grouped by cascade id (each group in completion order)."""
-        out: Dict[int, List[Span]] = {}
-        for span in self._spans:
-            out.setdefault(span.cascade_id, []).append(span)
-        return out
+        return _by_cascade(self._rows)
 
     def clear(self) -> None:
-        self._spans.clear()
+        self._rows.clear()
         self._cascades.clear()
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"TraceRecorder(mode={self.mode!r}, spans={len(self._spans)}, "
+            f"TraceRecorder(mode={self.mode!r}, spans={len(self._rows)}, "
             f"cascades={len(self._cascades)})"
         )
 
@@ -422,28 +430,33 @@ class TraceRecorder:
 # ----------------------------------------------------------------------
 # cross-backend span identity
 # ----------------------------------------------------------------------
-def _span_order_key(s: Span) -> tuple:
+def _span_order_key(row: SpanRow) -> tuple:
     """A content-only sort key: identical span *sets* sort identically
     whatever backend produced them (ids and shards excluded)."""
-    return (s.cascade_id, s.end, s.enqueue, s.start, s.agent, str(s.tag),
-            s.agent_type, s.demand)
+    (cascade_id, _, agent, agent_type, tag, demand, enqueue, start,
+     end) = row[:9]
+    return (cascade_id, end, enqueue, start, agent, str(tag), agent_type,
+            demand)
 
 
-def _renumber(spans: Sequence[Span], keep_shard: bool) -> List[Span]:
-    ordered = sorted(spans, key=_span_order_key)
-    mapping = {s.span_id: i + 1 for i, s in enumerate(ordered)}
+def _renumber(rows: Iterable[SpanRow], keep_shard: bool) -> List[SpanRow]:
+    ordered = sorted(rows, key=_span_order_key)
+    mapping = {row[1]: i + 1 for i, row in enumerate(ordered)}
     return [
-        dataclasses.replace(
-            s,
-            span_id=mapping[s.span_id],
-            parent_id=mapping.get(s.parent_id),
-            shard=s.shard if keep_shard else 0,
-        )
-        for s in ordered
+        row[:1] + (i + 1,) + row[2:9]
+        + (mapping.get(row[9]), row[10] if keep_shard else 0)
+        for i, row in enumerate(ordered)
     ]
 
 
-def canonical_spans(spans: Iterable[Span]) -> List[Span]:
+def _by_cascade(rows: Iterable[SpanRow]) -> Dict[int, List[Span]]:
+    out: Dict[int, List[Span]] = {}
+    for row in rows:
+        out.setdefault(row[0], []).append(Span(*row))
+    return out
+
+
+def canonical_spans(spans: Iterable[Union[Span, SpanRow]]) -> List[Span]:
     """Renumber a span set into its canonical, backend-independent form.
 
     Spans are sorted by content (cascade id, times, agent, tag) and
@@ -455,25 +468,28 @@ def canonical_spans(spans: Iterable[Span]) -> List[Span]:
     only when the parent span itself is present; parity scenarios stay
     under the ring capacity.
     """
-    return _renumber(list(spans), keep_shard=False)
+    return [Span(*row) for row in _renumber(map(span_row, spans),
+                                            keep_shard=False)]
 
 
 class MergedTrace:
     """Per-shard trace recorders folded into one result-side view.
 
     Quacks like :class:`TraceRecorder` for the read surface
-    (:meth:`spans`, :meth:`cascades`, :meth:`spans_by_cascade`,
-    ``len()``) so ``SimulationResult`` and the exporters work unchanged.
-    Per-shard span-id bases guarantee the concatenated id spaces are
-    disjoint; the merge renumbers them into content order (stable
-    across runs) while preserving each span's ``shard`` so the Chrome
-    exporter can lay one ``pid`` lane per worker and draw flow events
-    (``ph:"s"/"f"``) on the recorded cross-shard hops.
+    (:meth:`rows`, :meth:`spans`, :meth:`cascades`,
+    :meth:`spans_by_cascade`, ``len()``) so ``SimulationResult`` and
+    the exporters work unchanged.  Per-shard span-id bases guarantee
+    the concatenated id spaces are disjoint; the merge renumbers them
+    into content order (stable across runs) while preserving each
+    span's ``shard`` so the Chrome exporter can lay one ``pid`` lane
+    per worker and draw flow events (``ph:"s"/"f"``) on the recorded
+    cross-shard hops.  ``shard_spans`` holds each shard's span rows (what
+    a worker ships) or :class:`Span` values.
     """
 
     def __init__(
         self,
-        shard_spans: Sequence[Sequence[Span]],
+        shard_spans: Sequence[Iterable[Union[SpanRow, Span]]],
         shard_cascades: Sequence[Sequence[CascadeInfo]],
         *,
         shard_labels: Optional[Sequence[str]] = None,
@@ -485,8 +501,9 @@ class MergedTrace:
             shard_labels
             if shard_labels is not None
             else (f"shard {i}" for i in range(len(shard_spans))))
-        self._spans = _renumber(
-            [s for spans in shard_spans for s in spans], keep_shard=True)
+        self._rows = _renumber(
+            (span_row(s) for spans in shard_spans for s in spans),
+            keep_shard=True)
         self._cascades = sorted(
             (c for cascades in shard_cascades for c in cascades),
             key=lambda c: (c.start, c.cascade_id))
@@ -495,25 +512,25 @@ class MergedTrace:
         self.flows: List[Dict[str, Any]] = sorted(
             hops, key=lambda h: (h["send"], h["cascade"], h["src"], h["dst"]))
 
+    def rows(self) -> Sequence[SpanRow]:
+        return self._rows
+
     def spans(self) -> List[Span]:
-        return list(self._spans)
+        return [Span(*row) for row in self._rows]
 
     def cascades(self) -> List[CascadeInfo]:
         return list(self._cascades)
 
     def spans_by_cascade(self) -> Dict[int, List[Span]]:
-        out: Dict[int, List[Span]] = {}
-        for span in self._spans:
-            out.setdefault(span.cascade_id, []).append(span)
-        return out
+        return _by_cascade(self._rows)
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MergedTrace(shards={len(self.shard_labels)}, "
-            f"spans={len(self._spans)}, flows={len(self.flows)})"
+            f"spans={len(self._rows)}, flows={len(self.flows)})"
         )
 
 

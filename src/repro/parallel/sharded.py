@@ -421,7 +421,8 @@ def _shard_worker(idx: int, scenario: Scenario, plan: PartitionPlan,
                         if session.metrics is not None else None),
             "events": (session.events.events()
                        if session.events is not None else None),
-            "spans": (recorder.spans() if recorder is not None else None),
+            "spans": (list(recorder.rows()) if recorder is not None
+                      else None),
             "cascades": (recorder.cascades()
                          if recorder is not None else None),
             "trace_hops": (list(port.trace_hops)

@@ -365,6 +365,40 @@ def test_merged_chrome_trace_has_shard_lanes_and_flows(tmp_path):
     assert all(f["pid"] != by_id[f["id"]]["pid"] for f in finishes)
 
 
+def test_workers_ship_span_rows(monkeypatch, tmp_path):
+    """Shard workers ship their recorders' span rows, and the merged
+    rows export byte for byte like the ``Span`` values they stand for."""
+    from repro.observability.exporters import chrome_trace_events
+    from repro.parallel import sharded
+
+    shipped = []
+
+    class Capture(sharded.MergedTrace):
+        def __init__(self, shard_spans, *args, **kwargs):
+            shipped.extend(shard_spans)
+            super().__init__(shard_spans, *args, **kwargs)
+
+    monkeypatch.setattr(sharded, "MergedTrace", Capture)
+    result = _traced_sharded_result()
+    assert len(shipped) == 2 and all(type(rows) is list for rows in shipped)
+    assert all(type(row) is tuple and len(row) == 11
+               for rows in shipped for row in rows)
+    assert {row[10] for rows in shipped for row in rows} == {0, 1}
+    assert len(result.trace) == sum(len(rows) for rows in shipped)
+    path = tmp_path / "merged.json"
+    result.write_chrome_trace(path)
+    events = chrome_trace_events(result.spans(), result.cascades(),
+                                 shard_labels=result.trace.shard_labels,
+                                 flows=result.trace.flows)
+    assert path.read_bytes() == json.dumps(
+        {"traceEvents": events, "displayTimeUnit": "ms"}).encode("utf-8")
+    # window_advance contains the engine phases: the total counts them once
+    profile = result.profile
+    backend = sum(sec for p, sec in profile.phase_seconds.items()
+                  if p not in ("step_select", "wake", "events", "monitors"))
+    assert profile.accounted_seconds == pytest.approx(backend)
+
+
 def test_report_carries_backend_phases():
     result = _traced_sharded_result()
     report = result.parallel

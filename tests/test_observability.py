@@ -24,7 +24,12 @@ from repro.observability import (
     write_chrome_trace,
 )
 from repro.observability import exporters
-from repro.observability.trace import MergedTrace, Span
+from repro.observability.trace import (
+    MergedTrace,
+    Span,
+    canonical_spans,
+    span_row,
+)
 from repro.queueing import FCFSQueue
 from repro.software.application import Application
 from repro.software.message import CLIENT, MessageSpec
@@ -320,6 +325,103 @@ def test_chrome_trace_file_at_chunk_boundaries(tmp_path, delta):
     assert path.read_bytes() == _dumped_trace(spans)
 
 
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_chrome_trace_rows_at_chunk_boundaries(tmp_path, delta):
+    # the same slices fed as span rows, the recorder's own form
+    agents = 16
+    n_events = exporters._CHUNK_EVENTS + delta
+    spans = _synthetic_spans(n_events - 2 - agents, agents=agents)
+    path = tmp_path / "trace.json"
+    assert write_chrome_trace(path, map(span_row, spans)) == n_events
+    assert path.read_bytes() == _dumped_trace(spans)
+
+
+class _Tag:
+    """A non-``str`` tag whose text needs escaping."""
+
+    def __str__(self):
+        return 'obj "%s" \\ 50%'
+
+
+class _Real(float):
+    """A float subclass: its ``repr`` is not what ``json`` writes."""
+
+    def __repr__(self):
+        return "_Real()"
+
+
+def _odd_spans():
+    """Spans off the template's plain path, one quirk each, on lanes
+    shared with plain spans."""
+    base = dict(cascade_id=3, agent="q", agent_type="cpu", tag="OPEN",
+                demand=2.5, enqueue=0.0, start=0.5, end=1.0)
+    quirks = [
+        {},
+        {"tag": None},
+        {"tag": 7},
+        {"tag": ("EXPLORE", 2)},
+        {"tag": _Tag()},
+        {"tag": 'say "hi" \\ 100% %s %r %%', "agent": 'a%"b\\c'},
+        {"tag": "caf\u00e9 \u2192 \U0001f600", "agent": "\u0394-node"},
+        {"agent": "q%d", "agent_type": "50% cpu"},
+        {"demand": 3},
+        {"demand": 10 ** 400},
+        {"demand": float("nan")},
+        {"demand": float("inf")},
+        {"demand": float("-inf")},
+        {"demand": True},
+        {"demand": _Real(1.5)},
+        {"start": 2.0, "end": 1.0},          # negative duration, clamped
+        {"start": 1.0, "end": float("nan")},
+        {"enqueue": 0, "start": 1, "end": 4},  # int times
+        {"enqueue": -(10 ** 400), "start": 1, "end": 4},
+        {"end": float("inf")},
+        {"cascade_id": True},
+        {"agent_type": None},
+        {"agent": None},
+        {"shard": 1},
+        {"shard": 1, "agent": "q"},
+    ]
+    return [Span(span_id=i + 1, **{**base, **quirk})
+            for i, quirk in enumerate(quirks)]
+
+
+def test_chrome_trace_template_path_matches_encoder(tmp_path):
+    path = tmp_path / "trace.json"
+    spans = _odd_spans()
+    n = write_chrome_trace(path, spans)
+    assert path.read_bytes() == _dumped_trace(spans)
+    assert n == len(chrome_trace_events(spans))
+    # the same spans as rows, and NaN / infinities written as json does
+    write_chrome_trace(path, [span_row(s) for s in spans])
+    text = path.read_text()
+    assert text.encode("utf-8") == _dumped_trace(spans)
+    assert "NaN" in text and "-Infinity" in text and "nan" not in text
+    events = json.loads(text)["traceEvents"]
+    clamped = [e for e in events if e.get("args", {}).get("wait_s") == 2.0]
+    assert [e["dur"] for e in clamped] == [0.0]
+    # which quirks the lane templates write and which the encoder does
+    span_text = exporters._span_texts()
+    templated = [type(span_text(span_row(s), s.shard + 1, 1)) is str
+                 for s in spans]
+    assert templated == [True] * 9 + [False] * 6 + [True, False, True] \
+        + [False] * 5 + [True, True]
+
+
+def test_chrome_trace_merged_rows_match_encoder(tmp_path):
+    merged, _ = _two_shard_trace()
+    path = tmp_path / "trace.json"
+    n = write_chrome_trace(path, merged.rows(), merged.cascades(),
+                           shard_labels=merged.shard_labels,
+                           flows=merged.flows)
+    expected = _dumped_trace(merged.spans(), shard_labels=merged.shard_labels,
+                             flows=merged.flows)
+    assert path.read_bytes() == expected
+    assert n == len(json.loads(expected)["traceEvents"])
+    assert {e["ph"] for e in json.loads(expected)["traceEvents"]} == {
+        "M", "X", "s", "f"}
+
+
 def test_chrome_trace_failed_export_keeps_previous_file(tmp_path):
     path = tmp_path / "trace.json"
     path.write_text("previous trace")
@@ -431,6 +533,32 @@ def test_profiler_groups_backend_phases_separately():
     assert summary["window_advance"]["share"] == pytest.approx(10.0 / 20.0)
     table = prof.table()
     assert "barrier_wait" in table
+
+
+def test_profiler_total_counts_engine_phases_once():
+    """``window_advance`` contains the engine phases: the total adds
+    the backend phases only."""
+    from repro.observability.profiler import (
+        BACKEND_PHASES,
+        PHASES,
+        EngineProfiler,
+        MergedProfile,
+    )
+
+    engine_only = EngineProfiler()
+    for p, sec in zip(PHASES, (1.0, 2.0, 3.0, 4.0)):
+        engine_only.record(p, sec)
+    assert engine_only.accounted_seconds == pytest.approx(10.0)
+
+    prof = EngineProfiler.from_dict(engine_only.to_dict())
+    for p, sec in zip(BACKEND_PHASES, (2.0, 1.0, 12.0, 1.0, 4.0, 2.0)):
+        prof.record(p, sec)
+    assert prof.accounted_seconds == pytest.approx(22.0)
+    total = prof.table().splitlines()[-1].split()
+    assert total[:2] == ["total", "22.0000"]
+
+    merged = MergedProfile([prof, EngineProfiler.from_dict(prof.to_dict())])
+    assert merged.accounted_seconds == pytest.approx(44.0)
 
 
 def test_profiler_dict_roundtrip():
@@ -581,6 +709,96 @@ def test_merged_trace_renumbers_and_sorts_flows():
         ("M", 2, 1, "thread_name"), ("X", 2, 1, "b"),
         ("s", 1, 0, "remote DNA->R00"), ("f", 2, 0, "remote DNA->R00"),
     ]
+
+
+def _old_canonical_spans(spans):
+    """``canonical_spans`` as it was written over ``Span`` objects."""
+    import dataclasses
+
+    ordered = sorted(spans, key=lambda s: (
+        s.cascade_id, s.end, s.enqueue, s.start, s.agent, str(s.tag),
+        s.agent_type, s.demand))
+    mapping = {s.span_id: i + 1 for i, s in enumerate(ordered)}
+    return [dataclasses.replace(s, span_id=mapping[s.span_id],
+                                parent_id=mapping.get(s.parent_id), shard=0)
+            for s in ordered]
+
+
+def test_spans_are_built_from_the_stored_rows():
+    result = simulate(portal_scenario(), until=120.0,
+                      observability=ObservabilityOptions(trace="full"))
+    rows = result.trace.rows()
+    assert rows and all(type(r) is tuple and len(r) == 11 for r in rows)
+    spans = result.spans()
+    assert [span_row(s) for s in spans] == list(rows)
+    assert spans == [Span(*r) for r in rows]
+    assert [s.agent_type for s in spans if s.parent_id is None]
+    grouped = result.trace.spans_by_cascade()
+    assert sum(len(v) for v in grouped.values()) == len(spans)
+    assert all(s.cascade_id == cid for cid, v in grouped.items() for s in v)
+    assert canonical_spans(spans) == _old_canonical_spans(spans)
+    assert canonical_spans(rows) == canonical_spans(spans)
+
+
+def test_merged_trace_spans_match_the_old_merge():
+    merged, _ = _two_shard_trace()
+    assert merged.spans() == [
+        Span(cascade_id=5, span_id=1, agent="a", agent_type="q", tag=None,
+             demand=0.0, enqueue=0.0, start=0.0, end=1.0, parent_id=None,
+             shard=0),
+        Span(cascade_id=5, span_id=2, agent="b", agent_type="q", tag=None,
+             demand=0.0, enqueue=2.0, start=2.0, end=3.0, parent_id=1,
+             shard=1),
+    ]
+    from_rows = MergedTrace([[span_row(s)] for s in merged.spans()], [[], []])
+    assert from_rows.spans() == merged.spans()
+    assert canonical_spans(merged.spans()) == _old_canonical_spans(
+        merged.spans())
+
+
+def test_marker_spans_are_rows():
+    rec = TraceRecorder()
+    ctx = rec.start_cascade("OP", "app", "DC", 0.0)
+    rec.current, rec.current_parent = ctx, 41
+    rec.record_marker(ctx, "db", "retry", 1.0, 1.5)
+    rec.record_marker(ctx, "db", "timeout", 2.0, 3.0, tag="x timeout")
+    rec.current = None
+    rec.record_marker(ctx, "db", "shed", 4.0, 4.0)
+    assert list(rec.rows()) == [
+        (ctx.cascade_id, 1, "db", "resilience", "retry", 0.0, 1.0, 1.0, 1.5,
+         41, 0),
+        (ctx.cascade_id, 2, "db", "resilience", "x timeout", 0.0, 2.0, 2.0,
+         3.0, 41, 0),
+        (ctx.cascade_id, 3, "db", "resilience", "shed", 0.0, 4.0, 4.0, 4.0,
+         None, 0),
+    ]
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "vector"])
+def test_job_finishing_inside_enqueue_keeps_its_span(kernel):
+    """A job that completes inside its own ``enqueue`` is traced, and
+    what its continuation submits links to it."""
+    from repro.queueing.soa import vectorize_agents
+
+    rec = TraceRecorder()
+    sim = Simulator(trace=rec)
+    a, b = FCFSQueue("a", rate=1e12), FCFSQueue("b", rate=1.0)
+    if kernel == "vector":
+        vectorize_agents(sim, [a, b], name="t")
+    else:
+        sim.add_agents([a, b])
+    ctx = rec.start_cascade("OP", "app", "DC", 0.0)
+    rec.current = ctx
+    done = []
+    a.submit(Job(1.0, on_complete=lambda j, t: b.submit(
+        Job(1.0, on_complete=lambda j2, t2: done.append(t2)), t)), 0.0)
+    assert rec.current is ctx  # restored after the nested continuation
+    rec.current = None
+    sim.run(5.0)
+    assert done == [pytest.approx(1.0)]
+    assert [(s.agent, s.span_id, s.parent_id, s.cascade_id)
+            for s in rec.spans()] == [
+        ("a", 1, None, ctx.cascade_id), ("b", 2, 1, ctx.cascade_id)]
 
 
 def test_direct_submit_with_recorder_context():
