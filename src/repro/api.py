@@ -351,13 +351,8 @@ class RemotePort:
             if tctx is None:
                 self._deliver(d, p, arrival)
                 return
-            ctx = tracer.adopt_context(tctx)
-            prev, prev_parent = tracer.current, tracer.current_parent
-            tracer.current, tracer.current_parent = ctx, tctx[5]
-            try:
-                self._deliver(d, p, arrival)
-            finally:
-                tracer.current, tracer.current_parent = prev, prev_parent
+            tracer.within(tracer.adopt_context(tctx), tctx[5],
+                          self._deliver, d, p, arrival)
 
         self._session.sim.schedule(t + latency_s, deliver)
 
@@ -828,9 +823,10 @@ class SimulationSession:
     def _shard_locality_check(self, client_dc: str) -> None:
         """Refuse workloads whose cascades would leave this shard.
 
-        Cascade continuations are closures and cannot cross process
-        boundaries, so a sharded run requires every (client DC →
-        placement target) edge to stay inside one shard.  The placement
+        A cascade in flight is a request object whose messages hold
+        this process's agents and jobs, so it cannot cross a process
+        boundary: a sharded run requires every (client DC → placement
+        target) edge to stay inside one shard.  The placement
         decomposition is static, so this is checked up front rather
         than failing mid-run on an unregistered agent.
         """

@@ -1,10 +1,14 @@
 """Crash-safe checkpoint/resume for long simulations.
 
-A cascade in flight is a web of Python closures (continuation-passing
-message delivery), which no serializer can capture.  Checkpoints
-therefore store no live object graph at all; they rely on the engine
-being *deterministic*: rebuilding the same scenario with the same seed
-and replaying to the checkpoint time reproduces the interrupted run's
+A cascade in flight is data — one request object per operation and one
+message object per message, walking its hops on a reused job — but that
+data points into the live run: at agents and their queued jobs, and at
+what is still a closure (calendar events that workloads, background
+processes and failure injection schedule, ``deliver``/``process_leg``
+completion callbacks, monitor probes).  Checkpoints therefore store no
+live object graph at all; they rely on the engine being
+*deterministic*: rebuilding the same scenario with the same seed and
+replaying to the checkpoint time reproduces the interrupted run's
 state exactly.  A checkpoint is then just
 
 * the scenario identity (name, seed, runner seed) and engine

@@ -3,8 +3,9 @@
 A *job* is one interaction between a message and a single hardware agent
 (section 4.3.3): e.g. "consume 2.57e8 CPU cycles" or "transmit 250 KB".
 When the agent finishes consuming the demand it invokes the job's
-continuation, which typically submits the next job of the message cascade
-to the next agent.
+continuation, which typically submits the next hop of the message cascade
+to the next agent.  A message reuses one job for all of its hops
+(:meth:`Job.reuse`), so a job object outlives any one agent's service.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ class Job:
         "finish_at",
         "complete_time",
         "cascade",
+        "span_id",
+        "parent_id",
+        "lane",
     )
 
     def __init__(
@@ -68,8 +72,14 @@ class Job:
         # while waiting or when service has been interrupted by a pause
         self.finish_at: float | None = None
         self.complete_time: float | None = None
-        # cascade id set by the trace recorder when tracing is active
-        self.cascade: int | None = None
+        # trace stamp, set by the recorder at submit while a cascade
+        # context is active: the context, this hop's span id, its parent
+        # span id and the agent serving it (whose recorder records the
+        # span when the job finishes)
+        self.cascade: Any = None
+        self.span_id: int | None = None
+        self.parent_id: int | None = None
+        self.lane: Any = None
 
     @property
     def done(self) -> bool:
@@ -83,11 +93,33 @@ class Job:
             return None
         return self.complete_time - self.enqueue_time
 
+    def reuse(
+        self,
+        demand: float,
+        not_before: float,
+        on_complete: Optional[Callable[["Job", float], None]],
+    ) -> None:
+        """Load the next hop's demand into this finished job.
+
+        Clears the per-service state (start, completion, trace stamp);
+        the tag stays, since every hop of one message shares it."""
+        self.demand = self.remaining = float(demand)
+        self.not_before = not_before
+        self.on_complete = on_complete
+        self.start_time = None
+        self.complete_time = None
+        self.cascade = None
+
     def finish(self, now: float) -> None:
-        """Mark the job complete at ``now`` and fire the continuation."""
+        """Mark the job complete at ``now`` and fire the continuation.
+
+        A traced job hands over to its recorder, which records the span
+        and runs the continuation inside the job's cascade context."""
         self.remaining = 0.0
         self.complete_time = now
-        if self.on_complete is not None:
+        if self.cascade is not None:
+            self.lane._tracer.on_finish(self, now)
+        elif self.on_complete is not None:
             self.on_complete(self, now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

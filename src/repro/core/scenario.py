@@ -1,9 +1,11 @@
 """Restoration points and what-if branches (thesis section 9.3.2).
 
 Long simulations should not restart from scratch to explore a variant;
-the thesis proposes restoration points and branching.  Continuations in
-the DES are closures, so byte-level snapshots are fragile; instead this
-module provides *deterministic-replay* branching: a scenario is a pure
+the thesis proposes restoration points and branching.  Cascades in
+flight are plain request and message objects, but the calendar still
+holds closures (workload arrivals, failure injection, background
+processes), so byte-level snapshots are fragile; instead this module
+provides *deterministic-replay* branching: a scenario is a pure
 builder function from a :class:`ScenarioSpec` (seed + parameters) to a
 ready-to-run world, and a branch replays the shared prefix before
 diverging.  Because the engine is deterministic for a fixed seed

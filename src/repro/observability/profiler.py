@@ -99,8 +99,7 @@ class EngineProfiler:
             for phase in self._phase_order()
         }
 
-    def table(self) -> str:
-        """Human-readable phase breakdown."""
+    def _phase_rows(self) -> List[str]:
         lines: List[str] = [
             f"{'phase':<18} {'seconds':>10} {'calls':>10} {'share':>7}"
         ]
@@ -109,6 +108,11 @@ class EngineProfiler:
                 f"{phase:<18} {row['seconds']:>10.4f} "
                 f"{int(row['calls']):>10d} {row['share']:>6.1%}"
             )
+        return lines
+
+    def table(self) -> str:
+        """Human-readable phase breakdown."""
+        lines = self._phase_rows()
         lines.append(
             f"{'total':<18} {self.accounted_seconds:>10.4f} "
             f"{self.ticks:>10d} ticks  (wall {self.wall_seconds:.4f}s)"
@@ -190,12 +194,29 @@ class MergedProfile(EngineProfiler):
         return doc
 
     def table(self) -> str:
-        lines = [super().table()]
+        """Phase breakdown summed over the shards, then the run's wall.
+
+        The two totals are on separate, labelled lines: the shards'
+        phase seconds add up across concurrent workers, so their sum
+        can exceed the wall of the engine run, which is its slowest
+        shard's.
+        """
+        lines = self._phase_rows()
+        lines.append(
+            f"{'shard sum':<18} {self.accounted_seconds:>10.4f} "
+            f"{self.ticks:>10d} ticks  (phase seconds added over "
+            f"{len(self.per_shard)} shards)"
+        )
+        lines.append(
+            f"{'run wall':<18} {self.wall_seconds:>10.4f}  "
+            "(slowest shard's engine run; the shards run concurrently)"
+        )
         for label, prof in zip(self.shard_labels, self.per_shard):
             backend = "  ".join(
                 f"{p}={prof.phase_seconds.get(p, 0.0):.4f}s"
                 for p in BACKEND_PHASES)
-            lines.append(f"  {label}: {backend}")
+            lines.append(f"  {label}: wall={prof.wall_seconds:.4f}s  "
+                         f"{backend}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -18,15 +18,16 @@ sharded worker's payload read the rows themselves
 (:meth:`~TraceRecorder.rows`), so an exported run holds one copy of its
 spans.  The sampling decision is made *once per cascade*, so a
 sampled-out operation costs a single hash and nothing per hop.  With
-tracing off the engine never constructs a recorder at all and agents
-pay one ``is not None`` check per submit.
+tracing off the engine never constructs a recorder at all: agents pay
+one ``is not None`` check per submit and jobs one per completion.
 
-Cascade context propagates through the continuation-passing cascade
-machinery without threading ids through every call: the engine is
-single-threaded, so the recorder keeps a *current cascade* attribute
-(plus the *current parent span id* for parent/child links) that
-:meth:`TraceRecorder.on_submit` captures at submit time and restores
-around each job's continuation.
+Cascade context propagates through the cascade machinery without
+threading ids through every call: the engine is single-threaded, so the
+recorder keeps a *current cascade* attribute (plus the *current parent
+span id* for parent/child links).  :meth:`TraceRecorder.on_submit`
+stamps each job with them at submit time, and
+:meth:`TraceRecorder.on_finish` (called from ``Job.finish``) records
+the span and restores the context around the job's continuation.
 
 Distributed runs (PR 7): identifiers are *partition-independent* so the
 sharded backend can merge per-worker recorders into one coherent trace.
@@ -329,66 +330,73 @@ class TraceRecorder:
             self.current_parent if self.current is ctx else None,
             self.shard))
 
+    def within(self, ctx: Optional[CascadeInfo], parent: Optional[int],
+               fn: Any, *args: Any) -> None:
+        """Call ``fn(*args)`` with ``ctx`` as the current cascade and
+        ``parent`` as the current parent span, then restore the previous
+        context — how steps that run off the calendar (retries, timeouts,
+        remote deliveries) rejoin the cascade that scheduled them."""
+        prev, prev_parent = self.current, self.current_parent
+        self.current, self.current_parent = ctx, parent
+        try:
+            fn(*args)
+        finally:
+            self.current, self.current_parent = prev, prev_parent
+
     # ------------------------------------------------------------------
     # the per-job hook (called from Agent.submit when a tracer is set)
     # ------------------------------------------------------------------
     def on_submit(self, agent: Any, job: Any, now: float) -> None:
-        """Attach the current cascade to a freshly submitted job.
+        """Stamp a freshly submitted job with the current cascade.
 
-        The job's continuation is wrapped so that (a) a span is emitted
-        when the job finishes and (b) the cascade context — including
-        the parent span id, which is this job's span — is restored
-        around the continuation: everything the continuation submits
-        downstream inherits the cascade and links to this span.  Jobs
-        submitted outside any cascade context (orphans) stay untraced.
+        The stamp is the cascade context, the agent (the span's lane)
+        and, for a sampled cascade, the job's span id and parent span
+        id.  Jobs submitted outside any cascade context (orphans) stay
+        unstamped and untraced.
         """
         ctx = self.current
+        job.cascade = ctx
         if ctx is None:
             return
-        inner = job.on_complete
-        if not ctx.sampled:
-            # context must keep propagating (so downstream messages are
-            # not mistaken for background traffic) but no span is kept
-            if inner is None:
-                return
+        job.lane = agent
+        if ctx.sampled:
+            # the span id is allocated at *submit* time so downstream
+            # jobs (and cross-shard envelopes) can reference their
+            # parent before this job completes
+            job.span_id = self._span_base + next(self._span_ids)
+            job.parent_id = self.current_parent
+        else:
+            job.span_id = None
 
-            def passthrough(j: Any, t: float) -> None:
-                prev, prev_parent = self.current, self.current_parent
-                self.current, self.current_parent = ctx, None
-                try:
-                    inner(j, t)
-                finally:
-                    self.current, self.current_parent = prev, prev_parent
+    def on_finish(self, job: Any, t: float) -> None:
+        """Record a stamped job's span and run its continuation.
 
-            job.on_complete = passthrough
-            return
-        job.cascade = ctx.cascade_id
-        agent_name = agent.name
-        agent_type = agent.agent_type
-        # the span id is allocated at *submit* time so downstream jobs
-        # (and cross-shard envelopes) can reference their parent before
-        # this job completes
-        span_id = self._span_base + next(self._span_ids)
-        parent_id = self.current_parent
-
-        def traced(j: Any, t: float) -> None:
+        The continuation runs inside the job's cascade context, with
+        this job's span as the parent: everything it submits downstream
+        inherits the cascade and links to this span.  A sampled-out
+        cascade records nothing, but its context must keep propagating
+        so downstream messages are not mistaken for background traffic.
+        """
+        ctx = job.cascade
+        span_id = job.span_id
+        if span_id is not None:
             rows = self._rows
             if len(rows) == self.capacity:
                 self.evicted_spans += 1
-            enqueue = j.enqueue_time if j.enqueue_time is not None else t
-            start = j.start_time if j.start_time is not None else enqueue
-            rows.append((ctx.cascade_id, span_id, agent_name, agent_type,
-                         j.tag, j.demand, enqueue, start, t, parent_id,
-                         self.shard))
-            if inner is not None:
-                prev, prev_parent = self.current, self.current_parent
-                self.current, self.current_parent = ctx, span_id
-                try:
-                    inner(j, t)
-                finally:
-                    self.current, self.current_parent = prev, prev_parent
-
-        job.on_complete = traced
+            enqueue = job.enqueue_time if job.enqueue_time is not None else t
+            start = job.start_time if job.start_time is not None else enqueue
+            lane = job.lane
+            rows.append((ctx.cascade_id, span_id, lane.name, lane.agent_type,
+                         job.tag, job.demand, enqueue, start, t,
+                         job.parent_id, self.shard))
+        inner = job.on_complete
+        if inner is not None:
+            prev, prev_parent = self.current, self.current_parent
+            self.current, self.current_parent = ctx, span_id
+            try:
+                inner(job, t)
+            finally:
+                self.current, self.current_parent = prev, prev_parent
 
     # ------------------------------------------------------------------
     # accessors

@@ -263,13 +263,8 @@ def _delivery(port: _ShardPort, recorder: Optional[TraceRecorder],
         return lambda now, p=payload, d=dst: port._deliver(d, p, now)
 
     def deliver(now: float, p=payload, d=dst) -> None:
-        ctx = recorder.adopt_context(tctx)
-        prev, prev_parent = recorder.current, recorder.current_parent
-        recorder.current, recorder.current_parent = ctx, tctx[5]
-        try:
-            port._deliver(d, p, now)
-        finally:
-            recorder.current, recorder.current_parent = prev, prev_parent
+        recorder.within(recorder.adopt_context(tctx), tctx[5],
+                        port._deliver, d, p, now)
 
     return deliver
 

@@ -98,7 +98,7 @@ class ResiliencePolicy:
     # ------------------------------------------------------------------
     @property
     def enabled(self) -> bool:
-        """Whether any mechanism is active (False = legacy hop path)."""
+        """Whether any mechanism is active (False = plain message path)."""
         return (
             self.timeout_s is not None
             or self.max_attempts > 1

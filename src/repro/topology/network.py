@@ -26,7 +26,12 @@ class GlobalTopology:
         self.links: Dict[Tuple[str, str], NetworkLink] = {}
         self._secondary: Dict[Tuple[str, str], NetworkLink] = {}
         self._failed: set[Tuple[str, str]] = set()
-        self._route_cache: Dict[Tuple[str, str], List[str]] = {}
+        # resolved WAN link lists per (src, dst); valid until a link or
+        # data center is added, failed or restored
+        self._route_cache: Dict[Tuple[str, str], List[NetworkLink]] = {}
+        #: whole endpoint-to-endpoint agent paths, filled by the cascade
+        #: runner and emptied together with the route cache
+        self.path_cache: Dict[tuple, List[Agent]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -40,7 +45,7 @@ class GlobalTopology:
             seed=None if self._seed is None else self._seed + len(self.datacenters),
         )
         self.datacenters[spec.name] = dc
-        self._route_cache.clear()
+        self._routes_changed()
         return dc
 
     def connect(
@@ -62,8 +67,13 @@ class GlobalTopology:
             self._secondary[key] = link
         else:
             self.links[key] = link
-        self._route_cache.clear()
+        self._routes_changed()
         return link
+
+    def _routes_changed(self) -> None:
+        """Drop every cached route and endpoint path."""
+        self._route_cache.clear()
+        self.path_cache.clear()
 
     @staticmethod
     def _key(a: str, b: str) -> Tuple[str, str]:
@@ -89,7 +99,7 @@ class GlobalTopology:
         self._failed.add(key)
         if pause_agent:
             self.links[key].fail(crash=False, now=now)
-        self._route_cache.clear()
+        self._routes_changed()
 
     def restore_link(self, a: str, b: str, now: float = 0.0) -> None:
         """Bring a failed primary link back into service."""
@@ -98,7 +108,7 @@ class GlobalTopology:
         link = self.links.get(key)
         if link is not None and link.paused:
             link.repair(now)
-        self._route_cache.clear()
+        self._routes_changed()
 
     # ------------------------------------------------------------------
     # routing
@@ -115,12 +125,13 @@ class GlobalTopology:
         """Fewest-hop sequence of WAN links from src to dst."""
         if src == dst:
             return []
-        cache_key = (src, dst)
-        if cache_key not in self._route_cache:
-            self._route_cache[cache_key] = self._bfs(src, dst)
-        path = self._route_cache[cache_key]
-        usable = self._usable_links()
-        return [usable[self._key(a, b)] for a, b in zip(path, path[1:])]
+        links = self._route_cache.get((src, dst))
+        if links is None:
+            path = self._bfs(src, dst)
+            usable = self._usable_links()
+            links = [usable[self._key(a, b)] for a, b in zip(path, path[1:])]
+            self._route_cache[(src, dst)] = links
+        return list(links)
 
     def _bfs(self, src: str, dst: str) -> List[str]:
         usable = self._usable_links()

@@ -101,47 +101,12 @@ class Server(Holon):
         The leg traverses NIC -> CPU -> storage sequentially (eq. 3.4);
         memory bytes are held for the leg's duration and a memory cache
         hit bypasses the storage stage.  ``on_complete(t)`` fires when the
-        leg finishes.
+        leg finishes.  The leg runs on a job of its own; a cascade
+        message starts a :class:`Leg` on the job it carries instead.
         """
         t0 = now if not_before is None else not_before
-        mem_held = 0.0
-        if mem_bytes > 0 and self.memory.allocate(mem_bytes):
-            mem_held = mem_bytes
-        cache_hit = self.memory.is_cache_hit() if disk_bytes > 0 else False
-
-        def leg_done(t: float) -> None:
-            if mem_held:
-                self.memory.release(mem_held)
-            on_complete(t)
-
-        def cpu_done(_job: Job, t: float) -> None:
-            if disk_bytes > 0 and not cache_hit and self._storage_submit is not None:
-                self._storage_submit(
-                    Job(disk_bytes, on_complete=lambda _s, t2: leg_done(t2),
-                        not_before=t, tag=tag),
-                    t,
-                )
-            else:
-                leg_done(t)
-
-        def nic_done(_job: Job, t: float) -> None:
-            if cycles > 0:
-                self.cpu.submit(
-                    Job(cycles, on_complete=cpu_done, not_before=t, tag=tag), t
-                )
-            else:
-                cpu_done(_job, t)
-
-        if net_bits > 0:
-            self.nic.submit(
-                Job(net_bits, on_complete=nic_done, not_before=t0, tag=tag), now
-            )
-        elif cycles > 0:
-            self.cpu.submit(
-                Job(cycles, on_complete=cpu_done, not_before=t0, tag=tag), now
-            )
-        else:
-            cpu_done(Job(0.0), max(t0, now))
+        Leg(self, Job(0.0, tag=tag), now, t0, cycles, net_bits, mem_bytes,
+            disk_bytes, on_complete)
 
     def load(self) -> int:
         """Instantaneous load metric used by the tier load balancer."""
@@ -164,3 +129,70 @@ class Server(Holon):
         """Return the server to service; queued work resumes (retry)."""
         for agent in self.agents():
             agent.repair(now)
+
+
+class Leg:
+    """One message leg on one server: NIC -> CPU -> storage (eq. 3.4).
+
+    Constructing a leg starts it at ``now``: its memory is allocated and
+    its cache hit drawn right away, then its NIC and CPU stages run one
+    after the other on ``job`` (reloaded with each stage's demand), no
+    stage starting before ``not_before``.  A storage admission gets a job
+    of its own, since a storage agent may hold on to the job it served.
+    ``then(t)`` fires when the leg finishes.
+    """
+
+    __slots__ = ("server", "cycles", "disk_bytes", "mem_held", "cache_hit",
+                 "then")
+
+    def __init__(
+        self,
+        server: Server,
+        job: Job,
+        now: float,
+        not_before: float,
+        cycles: float,
+        net_bits: float,
+        mem_bytes: float,
+        disk_bytes: float,
+        then: Callable[[float], None],
+    ) -> None:
+        self.server = server
+        self.cycles = cycles
+        self.disk_bytes = disk_bytes
+        self.then = then
+        memory = server.memory
+        held = mem_bytes > 0 and memory.allocate(mem_bytes)
+        self.mem_held = mem_bytes if held else 0.0
+        self.cache_hit = memory.is_cache_hit() if disk_bytes > 0 else False
+        if net_bits > 0:
+            job.reuse(net_bits, not_before, self._nic_done)
+            server.nic.submit(job, now)
+        elif cycles > 0:
+            job.reuse(cycles, not_before, self._cpu_done)
+            server.cpu.submit(job, now)
+        else:
+            self._cpu_done(job, max(not_before, now))
+
+    def _nic_done(self, job: Job, t: float) -> None:
+        if self.cycles > 0:
+            job.reuse(self.cycles, t, self._cpu_done)
+            self.server.cpu.submit(job, t)
+        else:
+            self._cpu_done(job, t)
+
+    def _cpu_done(self, job: Job, t: float) -> None:
+        storage = self.server._storage_submit
+        if self.disk_bytes > 0 and not self.cache_hit and storage is not None:
+            storage(Job(self.disk_bytes, on_complete=self._storage_done,
+                        not_before=t, tag=job.tag), t)
+        else:
+            self._done(t)
+
+    def _storage_done(self, _job: Job, t: float) -> None:
+        self._done(t)
+
+    def _done(self, t: float) -> None:
+        if self.mem_held:
+            self.server.memory.release(self.mem_held)
+        self.then(t)

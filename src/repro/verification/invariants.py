@@ -167,8 +167,8 @@ class InvariantChecker:
         self._l_int: Dict["Agent", List[float]] = {}
         self._leaf_types: Dict[type, bool] = {}
         # per registered agent: [agent, is_leaf, capacity, capacity
-        # slack, (last local time, last busy seconds) or None before its
-        # first sweep]
+        # slack, swept yet, last local time, last busy seconds, and its
+        # bound busy-seconds, queue-length and completions readers]
         self._rows: List[list] = []
         self._rows_of: Optional[List["Agent"]] = None
 
@@ -212,11 +212,8 @@ class InvariantChecker:
         # one busy and one queue-length read per agent per boundary,
         # shared by every check
         for row in rows:
-            agent, is_leaf, cap, slack, prev = row
-            if prev is None:
-                last_local = last_busy = 0.0
-            else:
-                last_local, last_busy = prev
+            (agent, is_leaf, cap, slack, swept, last_local, last_busy,
+             busy_of, qlen_of, done_of) = row
             lt = agent.local_time
             if monotone:
                 if lt < last_local - _EPS:
@@ -227,8 +224,8 @@ class InvariantChecker:
                     self._flag(now, "monotone", agent.name,
                                f"local clock t={lt:.9f} is ahead of the "
                                f"engine t={now:.9f}")
-            busy = agent._busy_seconds()
-            qlen = agent.queue_length()
+            busy = busy_of()
+            qlen = qlen_of()
             arrivals = agent.arrivals
             drops = agent.drops
             if non_negative:
@@ -246,15 +243,17 @@ class InvariantChecker:
             if is_leaf:
                 if little:
                     leaf_q.append((agent, qlen))
-                if (capacity and prev is not None
+                if (capacity and swept
                         and busy - last_busy > window * cap + slack):
                     self._flag(now, "capacity", agent.name,
                                f"accrued {busy - last_busy:.9f} busy "
                                f"server-seconds in a {window:.9f} s "
                                f"window with capacity {cap:g}")
-            row[4] = (lt, busy)
+            row[4] = True
+            row[5] = lt
+            row[6] = busy
             if conservation:
-                done = agent._completions()
+                done = done_of()
                 # an agent fed through enqueue() (an internal sub-stage
                 # used standalone) never opened its submit-side ledger
                 if arrivals or done <= 0:
@@ -275,13 +274,12 @@ class InvariantChecker:
         self._last_now = now
 
     def _agent_rows(self, agents: List["Agent"]) -> List[list]:
-        """One ``[agent, is_leaf, capacity, capacity slack, (local, busy)
-        | None]`` row per registered agent.  Agents only ever get
-        appended, so a grown list extends the rows; another list rebuilds
-        them, keeping the state of agents already seen."""
+        """One row per registered agent (see ``_rows``).  Agents only
+        ever get appended, so a grown list extends the rows; another
+        list rebuilds them, keeping the state of agents already seen."""
         rows = self._rows
         if self._rows_of is not agents:
-            seen = {row[0]: row[4] for row in rows}
+            seen = {row[0]: row[4:7] for row in rows}
             rows = []
         else:
             seen = {}
@@ -289,7 +287,9 @@ class InvariantChecker:
             is_leaf = _is_leaf(agent, self._leaf_types)
             cap = agent.capacity() if is_leaf else 0.0
             rows.append([agent, is_leaf, cap, _EPS * max(1.0, cap),
-                         seen.get(agent)])
+                         *seen.get(agent, (False, 0.0, 0.0)),
+                         agent._busy_seconds, agent.queue_length,
+                         agent._completions])
         self._rows = rows
         self._rows_of = agents
         return rows

@@ -194,7 +194,9 @@ def test_drill_link_wakes_once_per_lone_transfer(monkeypatch):
     """The degraded-mode drill cell (MTBF 60 s, resilience on): nearly
     every transfer finds its link idle, so the engine wakes the links
     about once per transfer (it woke them 4,196 times when every
-    admission was a boundary)."""
+    admission was a boundary).  Timeouts of messages that settle in time
+    make no boundaries: the cascade runner's deadline heap keeps one
+    calendar entry armed at a time."""
     from repro.core.engine import Simulator as Engine
     from repro.studies.degraded import DegradedStudy
 
@@ -224,7 +226,7 @@ def test_drill_link_wakes_once_per_lone_transfer(monkeypatch):
     assert (out.operations, out.server_failures, transfers) == (262, 5, 2098)
     # one wake per transfer, plus three admissions that found a second
     # transfer already on the link
-    assert wakes == {"link": 2101, "boundaries": 7306}
+    assert wakes == {"link": 2101, "boundaries": 6299}
 
 
 def test_lone_job_wake_is_the_float_its_admission_schedules():

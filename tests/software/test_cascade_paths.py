@@ -114,3 +114,46 @@ def test_same_server_message_skips_network(world):
     # client legs did
     after = topo.datacenter("DNA").switch.completed_count
     assert after - before == 2
+
+
+def test_cached_routes_and_paths_follow_link_failure_and_repair(monkeypatch):
+    """A route resolved before a link fails is not reused after it, and
+    restoring the link brings the primary back: ``fail_link`` and
+    ``restore_link`` drop both the topology's resolved WAN links and the
+    runner's endpoint paths, while an unchanged topology resolves each
+    route once rather than on every message."""
+    topo = GlobalTopology(seed=1)
+    for name in ("DNA", "DEU"):
+        topo.add_datacenter(small_dc_spec(name))
+    primary = topo.connect("DNA", "DEU", LinkSpec(0.155, 10.0))
+    backup = topo.connect("DNA", "DEU", LinkSpec(0.045, 30.0), secondary=True)
+    runner = CascadeRunner(topo, SingleMasterPlacement("DNA", local_fs=False),
+                           seed=3)
+    src = runner.resolved(Client("c", "DEU"), "DEU", "client")
+    dst = runner.resolved(topo.datacenter("DNA").tier("app").servers[0],
+                          "DNA", "app")
+    scans = []
+    usable_links = GlobalTopology._usable_links
+
+    def counted(self):
+        scans.append(1)
+        return usable_links(self)
+
+    monkeypatch.setattr(GlobalTopology, "_usable_links", counted)
+
+    before = runner.path_between(src, dst)
+    assert primary in before and backup not in before
+    assert runner.path_between(src, dst) is before
+    resolved = len(scans)
+    for _ in range(3):
+        assert topo.route("DEU", "DNA") == [primary]
+    assert len(scans) == resolved
+
+    topo.fail_link("DNA", "DEU")
+    during = runner.path_between(src, dst)
+    assert backup in during and primary not in during
+    assert topo.route("DEU", "DNA") == [backup]
+
+    topo.restore_link("DNA", "DEU", now=5.0)
+    assert primary in runner.path_between(src, dst)
+    assert topo.route("DEU", "DNA") == [primary]

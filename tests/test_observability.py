@@ -595,6 +595,32 @@ def test_merged_profile_aggregates():
     assert "DNA: " in merged.table()
 
 
+def test_merged_profile_table_labels_sum_and_wall_apart():
+    """The merged table prints the shards' summed phase seconds and the
+    run's wall (the slowest shard's) on separate, labelled lines: the
+    sum of concurrent shards is not a duration of the run."""
+    from repro.observability.profiler import EngineProfiler, MergedProfile
+
+    shards = []
+    for events, wall in ((2.0, 2.5), (1.0, 2.0)):
+        p = EngineProfiler()
+        p.record("events", events)
+        p.record("window_advance", events)
+        p.ticks, p.wall_seconds = 10, wall
+        shards.append(p)
+    merged = MergedProfile(shards, shard_labels=["DNA", "R00"])
+    lines = merged.table().splitlines()
+    assert not any(line.split()[0] == "total" for line in lines)
+    [summed] = [line for line in lines if line.startswith("shard sum")]
+    assert summed.split()[2:4] == ["3.0000", "20"]
+    assert "added over 2 shards" in summed
+    [wall] = [line for line in lines if line.startswith("run wall")]
+    assert wall.split()[2] == "2.5000"
+    assert "slowest shard" in wall
+    assert lines[-2].strip().startswith("DNA: wall=2.5000s")
+    assert lines[-1].strip().startswith("R00: wall=2.0000s")
+
+
 # ----------------------------------------------------------------------
 # distributed trace identity (PR 7)
 # ----------------------------------------------------------------------
