@@ -15,6 +15,8 @@ from typing import Dict, Iterable, Iterator, List
 
 from repro.core.job import Job
 
+_INF = float("inf")
+
 
 class Agent(ABC):
     """Base class for all hardware-component agents.
@@ -45,7 +47,7 @@ class Agent(ABC):
         self._sched = None
         # engine wake-heap bookkeeping (lazy deletion): the wake entry for
         # this agent is valid iff its timestamp equals ``_wake_at``
-        self._wake_at = float("inf")
+        self._wake_at = _INF
         # set by the engine at registration when tracing is enabled;
         # internal sub-agents (never registered) stay untraced
         self._tracer = None
@@ -223,6 +225,11 @@ class Agent(ABC):
         """Jobs fully served; queue subclasses report their counter and
         composites aggregate their internal stages."""
         return 0
+
+    def _counted_completions(self) -> int:
+        """``_completions`` of an agent that counts the jobs it served in
+        ``completed_count`` (queues, disks, arrays)."""
+        return self.completed_count
 
     def _busy_seconds(self) -> float:
         """Cumulative busy server-seconds; composites sum their stages

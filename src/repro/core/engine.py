@@ -191,19 +191,19 @@ class Simulator:
         if self.metrics is not None:
             agent._metrics = self.metrics.agent(agent.name)
         if not agent.idle():
-            self._activate(agent)
+            self._wake(agent)
         agent.local_time = max(agent.local_time, self.clock.now)
         agent._reschedule()
         return agent
 
-    def _activate(self, agent: Agent) -> None:
-        if agent not in self._active:
-            self._active[agent] = next(self._active_counter)
-
     def _wake(self, agent: Agent) -> None:
-        """Move an agent onto the active set (called from Agent.submit)."""
-        if agent not in self._active:
-            self._activate(agent)
+        """Move an agent onto the active set (called from Agent.submit).
+
+        The boundary loop prunes a station that holds no work, so every
+        uncontended job wakes its station again: this is one frame."""
+        active = self._active
+        if agent not in active:
+            active[agent] = next(self._active_counter)
             # the agent slept through prior boundaries; bring it current
             agent.local_time = max(agent.local_time, self.clock.now)
 

@@ -33,7 +33,7 @@ class CompositeAgent(Agent):
     # the device attributes of a Disk or SAN it would push the dict past
     # the size CPython keeps compact, costing memory and attribute access
     __slots__ = ("_children", "_depth_owner", "_passing", "_stations",
-                 "_child_next", "_depth", "_due", "_agg_next")
+                 "_child_next", "_depth", "_due", "_agg_next", "_lone")
 
     def _child_agents(self) -> Iterable[Agent]:
         raise NotImplementedError
@@ -84,6 +84,11 @@ class CompositeAgent(Agent):
         self._due = [(ne, i) for i, ne in enumerate(cache) if ne != _INF]
         heapify(self._due)
         self._agg_next = self._due[0][0] if self._due else _INF
+        # one station (a one-socket CPU): its next event is the aggregate,
+        # so reschedules and advances skip the cache and the heap
+        self._lone = stations[0] if len(stations) == 1 else None
+        if self._lone is not None:
+            self._lone._sched = self._lone_resched
 
     def _make_inert(self) -> None:
         """Hand this composite's scheduling to the composite that nests
@@ -91,9 +96,13 @@ class CompositeAgent(Agent):
         self._sched = None
         self._stations = self._child_next = self._due = ()
         self._agg_next = _INF
+        self._lone = None
 
     def queue_length(self) -> int:
         return self._depth
+
+    def idle(self) -> bool:
+        return not self._depth
 
     def _child_resched(self, station: Agent) -> None:
         new = station.next_event_time()
@@ -123,6 +132,16 @@ class CompositeAgent(Agent):
             return
         self._reschedule()
 
+    def _lone_resched(self, station: Agent) -> None:
+        """``_child_resched`` of a one-station composite: the aggregate
+        is the station's next event."""
+        new = station.next_event_time()
+        if new != self._agg_next:
+            self._agg_next = new
+            sched = self._sched
+            if sched is not None:
+                sched(self)
+
     def _earliest(self) -> float:
         """Earliest live entry of ``_due`` (dropping stale ones on top)."""
         due = self._due
@@ -147,6 +166,11 @@ class CompositeAgent(Agent):
             return
         limit = t + 1e-9
         if self._agg_next > limit:
+            return
+        lone = self._lone
+        if lone is not None:
+            # the station's reschedules keep the aggregate current
+            lone.advance_to(t)
             return
         # forward only to stations with a due event: the cache equals the
         # station's exact next-event time, so a skipped station's advance

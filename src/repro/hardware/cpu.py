@@ -70,6 +70,9 @@ class CPU(CompositeAgent):
     # ------------------------------------------------------------------
     def enqueue(self, job: Job, now: float) -> None:
         """Join the shortest socket queue (load balancing across sockets)."""
+        if self._lone is not None:
+            self._lone.enqueue(job, now)
+            return
         target = min(self.socket_queues, key=lambda q: q.queue_length())
         target.enqueue(job, now)
 
@@ -100,12 +103,17 @@ class CPU(CompositeAgent):
     # plain loops: the invariant checker reads both on every sweep, and
     # a generator costs more than the one or two sockets it walks
     def _completions(self) -> int:
+        if self._lone is not None:
+            return self._lone.completed_count
         n = 0
         for q in self.socket_queues:
             n += q.completed_count
         return n
 
     def _busy_seconds(self) -> float:
+        if self._lone is not None:
+            # the loop's 0.0 + x is x: busy time is never -0.0
+            return self._lone.busy_time
         busy = 0.0
         for q in self.socket_queues:
             busy += q.busy_time
@@ -202,8 +210,7 @@ class TimeSharedCPU(Agent):
     def capacity(self) -> float:
         return float(self.cores)
 
-    def _completions(self) -> int:
-        return self.completed_count
+    _completions = Agent._counted_completions
 
     # ------------------------------------------------------------------
     # exact-event contract

@@ -62,8 +62,7 @@ class _Drive(Agent, HitStream):
     def capacity(self) -> float:
         return 1.0  # utilization is normalized to the bottleneck drive
 
-    def _completions(self) -> int:
-        return self.completed_count
+    _completions = Agent._counted_completions
 
     def _telemetry_extras(self) -> Dict[str, float]:
         return {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.core.agent import Agent
 from repro.hardware.disk import MemberDisk
 from repro.hardware.storage import Stage, StripedStorage
 
@@ -89,8 +90,7 @@ class RAID(StripedStorage):
     def capacity(self) -> float:
         return float(self.n_disks)
 
-    def _completions(self) -> int:
-        return self.completed_count
+    _completions = Agent._counted_completions
 
     def _telemetry_extras(self) -> Dict[str, float]:
         self._settled()

@@ -664,6 +664,8 @@ class StripedStorage(Agent, HitStream):
     def queue_length(self) -> int:
         """Stage jobs held: 1 per request before its fan-out, then one
         per stripe not yet finished."""
+        if not self._pending:
+            return 0
         lim = self._H + GUARD
         n = self._n
         held = 0

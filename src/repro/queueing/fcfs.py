@@ -24,6 +24,8 @@ from repro.core.agent import Agent
 from repro.core.job import Job
 
 _INF = float("inf")
+#: the waiting line of a station no job has waited at yet (empty, shared)
+_NO_LINE: Deque[Job] = ()  # type: ignore[assignment]
 
 
 class FCFSQueue(Agent):
@@ -55,7 +57,9 @@ class FCFSQueue(Agent):
             raise ValueError(f"server count must be >= 1, got {servers}")
         self.rate = float(rate)
         self.servers = int(servers)
-        self.waiting: Deque[Job] = deque()
+        # the waiting line is allocated at the first enqueue: the storage
+        # stages, most of a fleet's stations, are never enqueued on
+        self.waiting: Deque[Job] = _NO_LINE
         self.in_service: List[Job] = []
         self.completed_count = 0
         # internal event clock: the time of the last processed internal
@@ -101,6 +105,8 @@ class FCFSQueue(Agent):
             owner = owner._depth_owner
         waiting = self.waiting
         free = not waiting and len(self.in_service) < self.servers
+        if waiting is _NO_LINE:
+            waiting = self.waiting = deque()
         waiting.append(job)
         self._next = None
         e = self._now
@@ -130,11 +136,15 @@ class FCFSQueue(Agent):
             return self._bank_inflight
         return len(self.waiting) + len(self.in_service)
 
+    def idle(self) -> bool:
+        if self._bank is not None:
+            return not self._bank_inflight
+        return not self.in_service and not self.waiting
+
     def capacity(self) -> float:
         return float(self.servers)
 
-    def _completions(self) -> int:
-        return self.completed_count
+    _completions = Agent._counted_completions
 
     # ------------------------------------------------------------------
     # exact-event contract
@@ -318,6 +328,8 @@ class FCFSQueue(Agent):
         if self._bank is not None:
             self._bank.fcfs_crash(self)
             return
+        # a job in service came through the waiting line, so the line
+        # exists to take it back
         for job in reversed(self.in_service):
             job.remaining = job.demand
             job.start_time = None

@@ -96,16 +96,20 @@ class PSQueue(Agent):
             self._advance_to(now)
         # the arrival itself changes the next-event time even when no
         # event fired (e.g. a guarded job waiting on a free slot)
-        self._reschedule()
+        sched = self._sched
+        if sched is not None:
+            sched(self)
 
     def queue_length(self) -> int:
         return len(self.waiting) + len(self.active)
 
+    def idle(self) -> bool:
+        return not self.active and not self.waiting
+
     def capacity(self) -> float:
         return 1.0  # utilization is the busy fraction of the shared rate
 
-    def _completions(self) -> int:
-        return self.completed_count
+    _completions = Agent._counted_completions
 
     # ------------------------------------------------------------------
     # exact-event contract
@@ -113,15 +117,16 @@ class PSQueue(Agent):
     def next_event_time(self) -> float:
         if self._paused:
             return _INF
-        if not self.active and len(self.waiting) == 1:
+        waiting = self.waiting
+        if not self.active and len(waiting) == 1:
             # lone job: report its completion, the float its admission at
             # ``due`` would schedule (share anchor ``due``, share ``rate``)
-            due = self._next_internal()
-            return due + self.waiting[0].remaining / self.rate
+            job = waiting[0]
+            due = job.not_before
+            if due < self._now:
+                due = self._now
+            return due + job.remaining / self.rate
         return self._next_internal()
-
-    def advance_to(self, t: float) -> None:
-        self._advance_to(t)
 
     def sync_to(self, t: float) -> None:
         self._advance_to(t)
@@ -134,11 +139,14 @@ class PSQueue(Agent):
     # ------------------------------------------------------------------
     def _next_internal(self) -> float:
         nxt = _INF
-        if self.active:
-            share = self.rate / len(self.active)
-            min_r = min(j.remaining for j in self.active)
+        active = self.active
+        if len(active) == 1:
+            nxt = self._share_anchor + active[0].remaining / self.rate
+        elif active:
+            share = self.rate / len(active)
+            min_r = min(j.remaining for j in active)
             nxt = self._share_anchor + min_r / share
-        if self.waiting and (self.k is None or len(self.active) < self.k):
+        if self.waiting and (self.k is None or len(active) < self.k):
             due = self.waiting[0].not_before
             if due < self._now:
                 due = self._now
@@ -146,25 +154,96 @@ class PSQueue(Agent):
                 nxt = due
         return nxt
 
-    def _advance_to(self, t: float) -> None:
+    def advance_to(self, t: float) -> None:
+        """Process every internal event up to ``t`` at its own timestamp.
+
+        The uncontended job -- one job on the link, in service or alone
+        in the line of an idle link -- is served here in one pass: its
+        admission and its completion without ``_process_at``, with the
+        floats, order and hooks of the general path (see
+        ``docs/engine.md``, "The uncontended job")."""
         if self._advancing or self._paused:
             return
         self._advancing = True
         processed = False
+        limit = t + 1e-9
         try:
             # a completion callback may fail the link: stop there
             while not self._paused:
-                e = self._next_internal()
-                if e > t + 1e-9:
-                    break
-                self._process_at(e)
+                active = self.active
+                waiting = self.waiting
+                held = len(active) + len(waiting)
+                if held != 1:
+                    if not held:
+                        break
+                    e = self._next_internal()
+                    if e > limit:
+                        break
+                    self._process_at(e)
+                    processed = True
+                    continue
+                if active:
+                    job = active[0]
+                    fin = self._share_anchor + job.remaining / self.rate
+                    if fin > limit:
+                        break
+                    active.pop()
+                else:
+                    # admission at ``due``: nothing was in service, so
+                    # nothing accrues or settles before it
+                    job = waiting[0]
+                    due = job.not_before
+                    if due < self._now:
+                        due = self._now
+                    if due > limit:
+                        break
+                    waiting.popleft()
+                    if job.start_time is None:
+                        job.start_time = due
+                    if due > self._busy_anchor:
+                        self._busy_anchor = due
+                    if due > self._share_anchor:
+                        self._share_anchor = due
+                    self._now = due
+                    processed = True
+                    fin = self._share_anchor + job.remaining / self.rate
+                    if fin > limit:
+                        active.append(job)
+                        break
+                # completion at ``fin`` of the one job in service: it is
+                # the exact-minimum completer, and finish() zeroes the
+                # remaining work the share settlement would decrement
+                if fin > self._busy_anchor:
+                    self.record_busy(fin - self._busy_anchor)
+                    self._busy_anchor = fin
+                if fin > self._share_anchor:
+                    self._share_anchor = fin
+                self.completed_count += 1
+                met = self._metrics
+                if met is not None:
+                    start = (job.start_time if job.start_time is not None
+                             else fin)
+                    enq = job.enqueue_time if job.enqueue_time is not None \
+                        else start
+                    met.observe_completion(start - enq, fin - start,
+                                           fin - enq)
+                job.finish(fin)
+                if self.waiting and not self._paused:
+                    self._admit_at(fin)
+                if fin > self._now:
+                    self._now = fin
                 processed = True
         finally:
             self._advancing = False
         if processed:
             # only a processed event can change the next-event time, so
             # no-op advances (monitor syncs) skip the wake-heap re-key
-            self._reschedule()
+            sched = self._sched
+            if sched is not None:
+                sched(self)
+
+    # internal callers and subclasses name the event loop this way
+    _advance_to = advance_to
 
     def _process_at(self, t: float) -> None:
         self._accrue_to(t)

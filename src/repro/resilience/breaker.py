@@ -38,7 +38,7 @@ class CircuitBreaker:
     __slots__ = (
         "window_s", "min_calls", "failure_rate", "open_s",
         "half_open_probes", "state", "opened_at", "down", "opens",
-        "_events", "_probes_in_flight", "_listener",
+        "_events", "_failures", "_probes_in_flight", "_listener",
     )
 
     def __init__(
@@ -59,6 +59,7 @@ class CircuitBreaker:
         self.down = False  # force-opened by the health monitor
         self.opens = 0
         self._events: Deque[Tuple[float, bool]] = deque()
+        self._failures = 0  # failed outcomes in ``_events``
         self._probes_in_flight = 0
         # observability hook: called as ``listener(new_state, now)`` on
         # every state transition; observes only, never steers the breaker
@@ -112,11 +113,13 @@ class CircuitBreaker:
             return
         if self.state == OPEN:
             return  # late outcome of a pre-open request; ignore
-        self._events.append((now, ok))
+        events = self._events
+        events.append((now, ok))
+        if not ok:
+            self._failures += 1
         self._trim(now)
-        failures = sum(1 for _, k in self._events if not k)
-        if (len(self._events) >= self.min_calls
-                and failures / len(self._events) >= self.failure_rate):
+        if (len(events) >= self.min_calls
+                and self._failures / len(events) >= self.failure_rate):
             self._open(now)
 
     # ------------------------------------------------------------------
@@ -145,11 +148,13 @@ class CircuitBreaker:
         self.opened_at = now
         self.opens += 1
         self._events.clear()
+        self._failures = 0
         self._notify(now)
 
     def _close(self, now: float) -> None:
         self.state = CLOSED
         self._events.clear()
+        self._failures = 0
         self._probes_in_flight = 0
         self._notify(now)
 
@@ -161,7 +166,8 @@ class CircuitBreaker:
         horizon = now - self.window_s
         events = self._events
         while events and events[0][0] < horizon:
-            events.popleft()
+            if not events.popleft()[1]:
+                self._failures -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CircuitBreaker(state={self.state}, down={self.down}, "

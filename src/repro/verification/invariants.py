@@ -54,10 +54,10 @@ from typing import (
     TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple,
 )
 
+from repro.core.agent import Agent
 from repro.core.errors import InvariantViolation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.agent import Agent
     from repro.core.engine import Simulator
 
 _EPS = 1e-6
@@ -168,7 +168,9 @@ class InvariantChecker:
         self._leaf_types: Dict[type, bool] = {}
         # per registered agent: [agent, is_leaf, capacity, capacity
         # slack, swept yet, last local time, last busy seconds, and its
-        # bound busy-seconds, queue-length and completions readers]
+        # bound busy-seconds, queue-length and completions readers, the
+        # first and last None where they only return ``busy_time`` or
+        # ``completed_count``: an attribute load costs less than a call]
         self._rows: List[list] = []
         self._rows_of: Optional[List["Agent"]] = None
 
@@ -224,7 +226,7 @@ class InvariantChecker:
                     self._flag(now, "monotone", agent.name,
                                f"local clock t={lt:.9f} is ahead of the "
                                f"engine t={now:.9f}")
-            busy = busy_of()
+            busy = agent.busy_time if busy_of is None else busy_of()
             qlen = qlen_of()
             arrivals = agent.arrivals
             drops = agent.drops
@@ -253,7 +255,8 @@ class InvariantChecker:
             row[5] = lt
             row[6] = busy
             if conservation:
-                done = done_of()
+                done = (agent.completed_count if done_of is None
+                        else done_of())
                 # an agent fed through enqueue() (an internal sub-stage
                 # used standalone) never opened its submit-side ledger
                 if arrivals or done <= 0:
@@ -286,10 +289,14 @@ class InvariantChecker:
         for agent in agents[len(rows):]:
             is_leaf = _is_leaf(agent, self._leaf_types)
             cap = agent.capacity() if is_leaf else 0.0
+            cls = type(agent)
+            busy_of = (None if cls._busy_seconds is Agent._busy_seconds
+                       else agent._busy_seconds)
+            done_of = (None if cls._completions is Agent._counted_completions
+                       else agent._completions)
             rows.append([agent, is_leaf, cap, _EPS * max(1.0, cap),
                          *seen.get(agent, (False, 0.0, 0.0)),
-                         agent._busy_seconds, agent.queue_length,
-                         agent._completions])
+                         busy_of, agent.queue_length, done_of])
         self._rows = rows
         self._rows_of = agents
         return rows

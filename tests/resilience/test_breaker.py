@@ -198,3 +198,55 @@ def test_state_record_skipped_when_breaker_disabled():
         st.record("db-0", False, float(i), p)
     assert st.allows("db-0", 20.0)
     assert not st.breakers
+
+
+def test_running_failure_count_opens_as_a_recount_would():
+    """The breaker keeps its window's failure count as it appends, trims
+    and clears outcomes; on random outcome streams it opens, closes and
+    counts exactly as recounting the window on every outcome does."""
+    import random
+
+    class Recount(CircuitBreaker):
+        __slots__ = ()
+
+        def record(self, ok, now):
+            if self.state == HALF_OPEN:
+                self._probes_in_flight = max(0, self._probes_in_flight - 1)
+                if ok:
+                    self._close(now)
+                else:
+                    self._open(now)
+                return
+            if self.state == OPEN:
+                return
+            self._events.append((now, ok))
+            self._trim(now)
+            failures = sum(1 for _, k in self._events if not k)
+            if (len(self._events) >= self.min_calls
+                    and failures / len(self._events) >= self.failure_rate):
+                self._open(now)
+
+    for seed in range(200):
+        r = random.Random(seed)
+        knobs = dict(window_s=r.choice([1.0, 5.0]),
+                     min_calls=r.choice([1, 3, 6]),
+                     failure_rate=r.choice([0.2, 0.5, 0.9]),
+                     open_s=r.choice([0.5, 2.0]))
+        brs = [make_breaker(**knobs), Recount(**knobs)]
+        now = 0.0
+        trail = [[], []]
+        for _ in range(300):
+            now += r.expovariate(4.0)
+            ok = r.random() < 0.6
+            step = r.random()
+            for br, out in zip(brs, trail):
+                if step < 0.05:
+                    br.mark_down(now)
+                elif step < 0.1:
+                    br.mark_up(now)
+                elif br.allows(now):
+                    br.on_selected(now)
+                    br.record(ok, now)
+                out.append((br.state, br.opens, len(br._events)))
+        assert trail[0] == trail[1], f"seed {seed}"
+        assert brs[0]._failures == sum(1 for _, k in brs[0]._events if not k)
