@@ -103,17 +103,12 @@ class CPU(CompositeAgent):
     # plain loops: the invariant checker reads both on every sweep, and
     # a generator costs more than the one or two sockets it walks
     def _completions(self) -> int:
-        if self._lone is not None:
-            return self._lone.completed_count
         n = 0
         for q in self.socket_queues:
             n += q.completed_count
         return n
 
     def _busy_seconds(self) -> float:
-        if self._lone is not None:
-            # the loop's 0.0 + x is x: busy time is never -0.0
-            return self._lone.busy_time
         busy = 0.0
         for q in self.socket_queues:
             busy += q.busy_time

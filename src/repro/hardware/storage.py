@@ -419,20 +419,25 @@ class StripedStorage(Agent, HitStream):
         F = self._F
         uniform = self._uniform
         width = F + 2 if uniform else self._ncols
-        cols = self._cols[:width]
-        busy = [st._busy for st in cols]
-        win = [st._window_busy for st in cols]
-        count = [0] * width
-        # per lane: stripes finished (at the drive, or at the controller
-        # on a controller-cache hit)
-        lane_done = [0] * self._n
-        keep = []
-        for rec in rows:
-            S = rec.S
-            hit = rec.lane_hit
-            alive = False
-            for j in range(width):
-                k = j + j
+        cols = self._cols
+        # per lane of a non-uniform array: stripes finished (at the
+        # drive, or at the controller on a controller-cache hit)
+        lanes = not uniform and self._members
+        lane_done = [0] * self._n if lanes else None
+        dn = hn = 0
+        left = 0  # spans that still owe busy time
+        # column by column: a station's pieces still add in row order,
+        # and its running sums stay in locals
+        for j in range(width):
+            k = j + j
+            st = cols[j]
+            busy = st._busy
+            win = st._window_busy
+            count = 0
+            o = j - F  # lane o >> 1; drive if odd
+            dcc = lanes and o >= 0 and not o & 1
+            for rec in rows:
+                S = rec.S
                 a = S[k]
                 if a is None:
                     continue
@@ -440,38 +445,45 @@ class StripedStorage(Agent, HitStream):
                 if e <= lim:
                     p = e - a
                     S[k] = None
-                    busy[j] += p
-                    win[j] += p
-                    count[j] += 1
-                    if j >= F:
-                        o = j - F  # lane o >> 1; drive if odd
-                        if o & 1 or (hit is not None and hit[o >> 1]):
+                    busy += p
+                    win += p
+                    count += 1
+                    if dcc:
+                        hit = rec.lane_hit
+                        if hit is not None and hit[o >> 1]:
                             lane_done[o >> 1] += 1
-                    continue
-                alive = True
-                if cut and a < t:
-                    p = t - a
-                    S[k] = t
-                    busy[j] += p
-                    win[j] += p
-            if alive:
-                keep.append(rec)
+                else:
+                    left += 1
+                    if cut and a < t:
+                        p = t - a
+                        S[k] = t
+                        busy += p
+                        win += p
+            st._busy = busy
+            st._window_busy = win
+            if count:
+                st._completed += count
+                if o == 0:
+                    dn = count
+                elif o == 1:
+                    hn = count
+                if lanes and o >= 0 and o & 1:
+                    lane_done[o >> 1] += count
+        # a row stays while any of its spans still owes busy time
+        keep = ([rec for rec in rows if rec.S[::2].count(None) != width]
+                if left else [])
         self._rows = keep
         # rows still in flight wait for the next COMMIT_ROWS admissions
         self._commit_at = len(keep) + COMMIT_ROWS
         self._total = None
         if t >= self._H:
             self._clean = (self._H, self._seq)
-        for j, st in enumerate(cols):
-            st._busy = busy[j]
-            st._window_busy = win[j]
-            if count[j]:
-                st._completed += count[j]
         if uniform:
+            # a uniform row has no controller-cache hit: the first lane
+            # finishes a stripe at its drive
             lag = self._lag or (0, 0, 0)
-            self._lag = (lag[0] + count[F], lag[1] + count[F + 1],
-                         lag[2] + lane_done[0])
-        elif self._members:
+            self._lag = (lag[0] + dn, lag[1] + hn, lag[2] + hn)
+        elif lanes:
             for lane, done in zip(self._lanes, lane_done):
                 if done:
                     lane._completed += done

@@ -33,6 +33,14 @@ from repro.core.job import Job
 _INF = float("inf")
 
 
+def _observe(met, job: Job, t: float) -> None:
+    """Record a completion at ``t`` on the link's metrics: one body for
+    the lone and the general completion, called only with metrics on."""
+    start = job.start_time if job.start_time is not None else t
+    enq = job.enqueue_time if job.enqueue_time is not None else start
+    met.observe_completion(start - enq, t - start, t - enq)
+
+
 class PSQueue(Agent):
     """Egalitarian processor sharing of ``rate`` among at most ``k`` jobs.
 
@@ -86,14 +94,14 @@ class PSQueue(Agent):
         job.not_before = max(job.not_before, now + self.latency)
         busy = bool(self.active or self.waiting)
         if busy:
-            self._advance_to(now)
+            self.advance_to(now)
         if now > self._now:
             self._now = now
         self.waiting.append(job)
         # on an idle link nothing else is pending, and the lone job's
         # admission waits for its completion wake unless it is due now
         if busy or max(job.not_before, self._now) <= now + 1e-9:
-            self._advance_to(now)
+            self.advance_to(now)
         # the arrival itself changes the next-event time even when no
         # event fired (e.g. a guarded job waiting on a free slot)
         sched = self._sched
@@ -129,7 +137,7 @@ class PSQueue(Agent):
         return self._next_internal()
 
     def sync_to(self, t: float) -> None:
-        self._advance_to(t)
+        self.advance_to(t)
         self._accrue_to(t)
         if t > self.local_time:
             self.local_time = t
@@ -221,12 +229,7 @@ class PSQueue(Agent):
                 self.completed_count += 1
                 met = self._metrics
                 if met is not None:
-                    start = (job.start_time if job.start_time is not None
-                             else fin)
-                    enq = job.enqueue_time if job.enqueue_time is not None \
-                        else start
-                    met.observe_completion(start - enq, fin - start,
-                                           fin - enq)
+                    _observe(met, job, fin)
                 job.finish(fin)
                 if self.waiting and not self._paused:
                     self._admit_at(fin)
@@ -241,9 +244,6 @@ class PSQueue(Agent):
             sched = self._sched
             if sched is not None:
                 sched(self)
-
-    # internal callers and subclasses name the event loop this way
-    _advance_to = advance_to
 
     def _process_at(self, t: float) -> None:
         self._accrue_to(t)
@@ -272,10 +272,7 @@ class PSQueue(Agent):
         for job in finished:
             self.completed_count += 1
             if met is not None:
-                start = job.start_time if job.start_time is not None else t
-                enq = job.enqueue_time if job.enqueue_time is not None \
-                    else start
-                met.observe_completion(start - enq, t - start, t - enq)
+                _observe(met, job, t)
             job.finish(t)
         if not self._paused:
             self._admit_at(t)
@@ -357,7 +354,7 @@ class PSQueue(Agent):
             self._share_anchor = r
         if self._busy_anchor < r:
             self._busy_anchor = r
-        self._advance_to(r)
+        self.advance_to(r)
 
     def on_crash(self) -> None:
         """Crash semantics: active transfers restart from scratch."""

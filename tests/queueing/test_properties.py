@@ -79,16 +79,27 @@ def test_psk_never_serves_more_than_k(demands, k):
     max_active = {"v": 0}
     calls = {"n": 0}
 
-    # every admission and completion goes through the instance's
-    # ``_advance_to`` (from enqueue and from the engine's advance_to)
-    orig = q._advance_to
+    # every admission from the waiting line goes through the instance's
+    # ``_admit_at`` (after a completion, in the general loop and in the
+    # lone-job pass), and every event runs inside ``advance_to`` (from
+    # enqueue, sync_to and the engine); sample the service set after both
+    orig_admit = q._admit_at
+    orig_adv = q.advance_to
 
-    def spy(t):
-        orig(t)
+    def sample():
         calls["n"] += 1
         max_active["v"] = max(max_active["v"], len(q.active))
 
-    q._advance_to = spy
+    def spy_admit(t):
+        orig_admit(t)
+        sample()
+
+    def spy_adv(t):
+        orig_adv(t)
+        sample()
+
+    q._admit_at = spy_admit
+    q.advance_to = spy_adv
     for d in demands:
         q.submit(Job(d), 0.0)
     sim.run(sum(demands) / 5.0 + 10.0)

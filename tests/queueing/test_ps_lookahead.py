@@ -11,6 +11,7 @@ in every stepping mode and under both queueing kernels.
 from __future__ import annotations
 
 import random
+import sys
 from collections import deque
 
 import pytest
@@ -35,11 +36,11 @@ class EagerPS(PSQueue):
 
     def enqueue(self, job: Job, now: float) -> None:
         job.not_before = max(job.not_before, now + self.latency)
-        self._advance_to(now)
+        self.advance_to(now)
         if now > self._now:
             self._now = now
         self.waiting.append(job)
-        self._advance_to(now)
+        self.advance_to(now)
         self._reschedule()
 
     # nothing is left pending for a failure to catch up on
@@ -208,11 +209,13 @@ def test_drill_link_wakes_once_per_lone_transfer(monkeypatch):
         if agent.agent_type == "link":
             links.append(agent)
             # the engine wakes an agent through ``advance_to``; a link's
-            # own enqueue and measurement syncs bypass it
+            # own enqueue, measurement syncs and repair call it too, so
+            # count only the calls made from the engine
             advance = agent.advance_to
 
             def woken(t):
-                wakes["link"] += 1
+                if sys._getframe(1).f_globals["__name__"] == Engine.__module__:
+                    wakes["link"] += 1
                 advance(t)
 
             agent.advance_to = woken

@@ -80,7 +80,6 @@ class GeneralPS(PSQueue):
         if processed:
             self._reschedule()
 
-    _advance_to = advance_to
     idle = Agent.idle
 
 
