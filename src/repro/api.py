@@ -253,14 +253,13 @@ class EngineOptions:
     """Engine/stepping configuration for :func:`simulate`, grouped.
 
     ``kernel``
-        The queueing substrate: ``"scalar"`` drives every station as
-        its own exact-event agent (the differential oracle);
-        ``"vector"`` batches homogeneous stations behind one
-        driver per tier (:mod:`repro.queueing.soa`) — same
-        exact-event semantics, far fewer engine boundaries on large
-        fleets.  Bit-parity across kernels is not guaranteed; each
-        kernel passes the oracle sweep and event≡adaptive parity on its
-        own (``repro verify --kernel vector``).
+        How stations reach the engine: ``"scalar"`` registers every
+        station as its own exact-event agent; ``"vector"`` keys each
+        tier's FCFS and PS stations behind one engine agent
+        (:mod:`repro.queueing.soa`).  The stations run the same code
+        under both, so the two kernels give bit-identical records and
+        telemetry (``repro verify --kernel vector`` runs the verify
+        gate on the vector kernel).  ``mode="fixed"`` is scalar-only.
     ``mode``
         ``"event"`` (default) / ``"adaptive"`` / ``"fixed"`` run the
         DES; ``"fluid"`` solves the scenario analytically (no engine,

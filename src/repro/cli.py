@@ -585,9 +585,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CI-PR sizing: at most 3 replications x 300 s")
     p.add_argument("--kernel", choices=("scalar", "vector"),
                    default="scalar",
-                   help="queueing substrate under test: the scalar "
-                        "per-station path or the batched path (each "
-                        "must pass on its own)")
+                   help="how stations reach the engine: one agent "
+                        "each (scalar) or one bank per tier (vector); "
+                        "the stations and their results are the same")
     p.add_argument("--rate-fault", type=float, default=1.0,
                    help="deliberately scale every service rate (1.0 = "
                         "nominal; e.g. 0.7 demonstrates the gate "

@@ -45,33 +45,14 @@ from typing import Dict, List
 
 from repro.core.agent import Agent
 from repro.core.job import Job
-from repro.queueing.fcfs import FCFSQueue
+from repro.queueing.fcfs import GUARD, FCFSQueue, lindley_start
 
 _INF = float("inf")
-
-#: Timestamp guard of the exact-event contract: events this close past a
-#: boundary are processed with it.
-GUARD = 1e-9
 
 #: Requests admitted between folds of the finished spans into the
 #: stages' busy counters (a run without monitors would otherwise keep
 #: every span until the composite next goes idle).
 COMMIT_ROWS = 8
-
-
-def _start(arrival: float, not_before: float, free: float) -> float:
-    """Admission time of a job reaching an idle-or-busy FCFS stage.
-
-    A job whose timestamp guard lies past its arrival starts at the
-    guard, except that a stage finishing its current job within
-    :data:`GUARD` of the guard admits it at that completion.
-    """
-    if not_before <= arrival:
-        return arrival if arrival > free else free
-    if free > arrival + GUARD:
-        return free if not_before <= free + GUARD else not_before
-    start = arrival if arrival > free else free
-    return not_before if not_before > start else start
 
 
 class Stage(FCFSQueue):
@@ -389,7 +370,7 @@ class StripedStorage(Agent, HitStream):
             s = free
             f = s + frozen[1] / self._rates[j]
         else:
-            s = _start(arrival, not_before, free)
+            s = lindley_start(arrival, not_before, free)
             f = s + demand / self._rates[j]
         if j < F:
             self._ffree[j] = f

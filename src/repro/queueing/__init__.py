@@ -8,9 +8,12 @@ provides the classical closed-form results used to cross-validate the
 simulated queues, and :mod:`repro.queueing.kendall` parses the Kendall
 notation of Appendix A.
 
-:mod:`repro.queueing.soa` holds the batched substrate behind
-``simulate(engine=EngineOptions(kernel="vector"))``; it is imported
-lazily, only by runs that select it.
+:mod:`repro.queueing.soa` holds the bank behind
+``simulate(engine=EngineOptions(kernel="vector"))``, which keys a tier's
+stations behind one engine agent (the stations themselves are the same
+under both kernels); it is imported lazily, only by runs that select
+it.  The event-by-event FCFS loop that :class:`FCFSQueue`'s closed form
+replaces lives on as :mod:`repro.verification.fcfs`.
 """
 
 from repro.queueing.fcfs import FCFSQueue

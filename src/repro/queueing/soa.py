@@ -1,46 +1,35 @@
 """Batched queueing substrate — the ``kernel="vector"`` path.
 
-The scalar substrate (`fcfs`/`ps` plus the hardware stations wrapping
-them) drives every station as its own exact-event agent: each service
-completion is an engine boundary and each boundary re-keys one
-wake-heap entry.  On large fleets the profiler shows
-``step_select``/``wake`` dominated by exactly this per-agent dispatch.
+The scalar substrate registers every station (NIC, switch, CPU, link)
+as its own exact-event agent: each event a station reports is an entry
+in the engine's wake heap, and each boundary re-keys the stations it
+advanced.  On large fleets ``step_select``/``wake`` is dominated by
+exactly this per-agent dispatch.
 
-``BatchedTier`` batches homogeneous stations behind one engine driver:
-a bank for FCFS stations (NIC, switch, CPU socket queues) plus a
-multiplexer for PS stations (network links).  Each FCFS member keeps a
-``free``-slot list; admission is the closed-form recurrence
-``start = max(now, not_before, min(free), last_start)`` — equivalent
-to the scalar head-of-line admission including the FIFO non-overtaking
-guarantee — so a completion costs one shared-heap pop instead of an
-engine boundary per station.  PS members keep their full scalar
-machinery but report their next event into a bank-level lazy-deletion
-heap, so the engine sees one driver per tier instead of one agent per
-station.
+``BatchedTier`` puts a tier's stations behind one engine driver.  The
+stations schedule themselves with the same code as under the scalar
+kernel -- an FCFS station (:class:`~repro.queueing.fcfs.FCFSQueue`, a
+CPU's socket queues included) in closed form, a PS link
+(:class:`~repro.queueing.ps.PSQueue`) event by event -- and report
+their next event to the bank, which keys them in one lazy-deletion
+heap.  The engine sees one agent per tier instead of one per station,
+and due stations are advanced in membership order.
 
 The storage composites (Disk, RAID, SAN) are not batched here: they
 schedule every request's stage chain in closed form under either
 kernel (:mod:`repro.hardware.storage`) and register as plain agents.
 
-Scalar stations stay registered *observationally* (telemetry, tracing,
-invariants and the metrics mirror read them as before); the bank owns
-event scheduling.  All of the bank's state lives on the member
-stations: each scheduled job's entry carries the part of its service
-span already credited, and busy time reaches the scalar
-``record_busy`` counters at completion, at a pause and at measurement
-syncs, so windowed utilization, capacity invariants, telemetry and
-checkpoint fingerprints see the same accounting as the scalar path.
-The bank's heaps are caches derived from that state.  The scalar
-kernel remains the differential oracle: each kernel must pass the
-oracle sweep and event≡adaptive parity on its own
+The stations stay registered *observationally*: telemetry, tracing,
+invariants and the metrics mirror read them exactly as under the scalar
+kernel, and since they schedule, accrue busy time and fail with the
+same code, the two kernels agree bit for bit
 (``tests/core/test_kernel_parity.py``).
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from typing import Any, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.agent import Agent
 from repro.core.job import Job
@@ -51,361 +40,124 @@ _INF = float("inf")
 class BatchedTier(Agent):
     """Bank advancing many stations as one engine agent.
 
-    FCFS members are fully absorbed: their ``enqueue``/``queue_length``/
-    failure hooks delegate here (see ``FCFSQueue._bank``), admissions are
-    scheduled in closed form against a per-station ``free`` list, and
-    completions pop from one shared ``(fin, seq, station, job)`` heap
-    (lazy deletion: an entry is valid iff ``job.finish_at`` still equals
-    its key).  PS members keep the scalar machinery; the bank owns their
-    ``_sched``/``_waker`` hooks and keys their next-event times in a
-    ``(time, member)`` heap (lazy deletion: an entry is valid iff the
-    member's stored next time still equals its key).
+    The bank owns each member's ``_sched``/``_waker`` hooks.  A member's
+    reschedule only marks it dirty (a bare dict insert); the bank keys
+    its dirty members in a ``(time, index, member)`` heap when it is
+    woken, read or advanced -- the engine's own scheme, one level down
+    -- using the member's ``_wake_at`` as the engine does: an entry is
+    valid iff its time still equals the member's ``_wake_at``.  The
+    engine learns that the bank's next event may have moved from the
+    wake after every submission to a member and every repair, from a
+    sync, and from its re-key after each advance; a member's failure,
+    which only removes events, leaves the bank's engine entry early at
+    worst.
     """
 
     agent_type = "batched-tier"
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
-        self._heap: List[Tuple[float, int, Any, Job]] = []
-        self._seq = itertools.count()
-        self._fcfs: List[Any] = []
-        self._ps: List[Any] = []
-        #: each PS member's next-event time, and the heap keying them
-        self._ps_next: List[float] = []
-        self._ps_heap: List[Tuple[float, int]] = []
-        self._inflight = 0
-        self._now = 0.0
+        self._members: List[Agent] = []
+        self._index = {}
+        self._heap: List[Tuple[float, int, Agent]] = []
+        self._dirty = {}
         self._advancing = False
-        # adaptive mode polls every active agent's next_event_time once
-        # per boundary; the min only moves at reschedule/advance points,
-        # so it is cached behind a dirty flag
-        self._net_cache = _INF
-        self._net_dirty = True
 
-    # ------------------------------------------------------------------
-    # membership
-    # ------------------------------------------------------------------
-    def adopt_fcfs(self, station) -> None:
-        """Absorb an FCFS station (NIC/switch/CPU socket) into the bank."""
-        station._bank = self
-        station._bank_free = [0.0] * station.servers
-        station._bank_last_start = 0.0
-        # the station's event clock (latest completion or repair): an
-        # arrival behind it is admitted at the clock, as in the scalar
-        station._bank_clock = 0.0
-        station._bank_inflight = 0
-        #: the station's scheduled jobs in admission (FIFO) order, each
-        #: mapped to the instant up to which its span is credited as busy
-        station._bank_live = {}
-        station._bank_frozen = []
+    def adopt(self, station) -> None:
+        """Drive ``station`` (an FCFS or PS station) through the bank."""
+        self._index[station] = len(self._members)
+        self._members.append(station)
         station._waker = self._member_wake
-        station._sched = self._member_resched
-        self._fcfs.append(station)
-
-    def adopt_ps(self, station) -> None:
-        """Multiplex a PS station (network link) through the bank."""
-        i = len(self._ps)
-        station._bank_pidx = i
-        station._waker = self._member_wake
-        station._sched = self._ps_resched
-        self._ps.append(station)
-        nxt = station.next_event_time()
-        self._ps_next.append(nxt)
-        if nxt < _INF:
-            heapq.heappush(self._ps_heap, (nxt, i))
+        station._sched = self._dirty.setdefault
+        station._wake_at = _INF
+        self._dirty[station] = None
 
     # ------------------------------------------------------------------
     # member hooks
     # ------------------------------------------------------------------
-    def _member_wake(self, _station) -> None:
-        """Member ``_waker``: submissions to a member wake the bank.
+    def _member_wake(self, station) -> None:
+        """Member ``_waker``, called after a submission or a repair."""
+        self._dirty[station] = None
+        self._wake_bank()
 
-        Wake only — event bookkeeping happens where the event is made:
-        FCFS admissions re-key in :meth:`_fcfs_admit` (which knows the
-        new finish time), PS internals bubble through
-        :meth:`_ps_resched`."""
+    def _wake_bank(self, _cpu=None) -> None:
+        """Wake the bank and key its dirty members, and have the engine
+        re-key the bank when a member's event now comes before the
+        bank's key (``_wake_at``; the engine sets it to ``-inf`` while
+        it advances the bank, and re-keys it after).  Also the
+        ``_waker`` of a CPU whose socket queues are members."""
         if self._waker is not None:
             self._waker(self)
+        self._rekey()
+        if self._sched is not None and self._heap and (
+                self._heap[0][0] < self._wake_at):
+            self._sched(self)
 
-    def _member_resched(self, _station) -> None:
-        """FCFS member ``_sched``: fail/repair may move the bank's min."""
-        self._reschedule()
-
-    def _ps_resched(self, station) -> None:
-        """PS member ``_sched``: re-key the member; re-key the bank only
-        when that moves the earliest PS event."""
-        nxt = self._ps_next
-        i = station._bank_pidx
-        new = station.next_event_time()
-        if new == nxt[i]:
-            return
-        cur = self._ps_heap_min()
-        nxt[i] = new
-        if new < _INF:
-            heapq.heappush(self._ps_heap, (new, i))
-        if self._ps_heap_min() != cur:
-            self._reschedule()
-
-    def _ps_heap_min(self) -> float:
-        """Earliest PS member event, dropping stale heap entries."""
-        heap = self._ps_heap
-        nxt = self._ps_next
-        while heap:
-            w, i = heap[0]
-            if nxt[i] == w:
-                return w
-            heapq.heappop(heap)
-        return _INF
-
-    def _note_min(self, fin: float) -> None:
-        """Re-key after a new event at ``fin`` — but only when it can
-        move the bank's minimum (the hot-path suppression that the
-        composite cache performs per child, done here per admission)."""
-        if self._net_dirty:
-            if self._sched is not None:
-                self._sched(self)
-        elif fin < self._net_cache:
-            self._net_cache = fin
-            if self._sched is not None:
-                self._sched(self)
-
-    # ------------------------------------------------------------------
-    # FCFS scheduling (delegated from FCFSQueue when banked)
-    # ------------------------------------------------------------------
-    def fcfs_enqueue(self, station, job: Job, now: float) -> None:
-        if now > self._now:
-            self._now = now
-        station._bank_inflight += 1
-        owner = station._depth_owner
-        while owner is not None:
-            owner._depth += 1
-            owner = owner._depth_owner
-        self._inflight += 1
-        if station._paused:
-            station._bank_frozen.append(job)
-            return
-        limit = now + 1e-9
-        if station._bank_live and self._heap_min() <= limit:
-            self._settle(station, limit)
-        self._fcfs_admit(station, job, now)
-        if job.finish_at <= limit:
-            # the scalar enqueue completes a job inside the guard before
-            # it returns, so guard completions keep arrival order
-            self._complete(station, job, job.finish_at)
-        if self._waker is not None:
-            self._waker(self)
-
-    def _settle(self, station, limit: float) -> None:
-        """Complete the station's jobs due inside the guard, in
-        ``(fin, seq)`` order, before an arrival is admitted (the scalar
-        enqueue settles its own events first)."""
-        due = [(job.finish_at, job) for job in station._bank_live
-               if job.finish_at <= limit]
-        # a stable sort: admission order breaks ties
-        due.sort(key=lambda e: e[0])
-        for fin, job in due:
-            if job.finish_at == fin:
-                self._complete(station, job, fin)
-
-    def _fcfs_admit(self, station, job: Job, t: float) -> None:
-        """Closed-form admission: equivalent to the scalar head-of-line
-        loop, including FIFO non-overtaking past not_before guards."""
-        free = station._bank_free
-        if len(free) == 1:
-            i = 0
-            start = free[0]
-        else:
-            start = min(free)
-            i = free.index(start)
-        if t > start:
-            start = t
-        nb = job.not_before
-        if nb > start:
-            start = nb
-        if station._bank_last_start > start:
-            start = station._bank_last_start
-        if station._bank_clock > start:
-            start = station._bank_clock
-        fin = start + job.remaining / station.rate
-        free[i] = fin
-        station._bank_last_start = start
-        if job.start_time is None:
-            job.start_time = start
-        job.finish_at = fin
-        station._bank_live[job] = start
-        heapq.heappush(self._heap, (fin, next(self._seq), station, job))
-        self._note_min(fin)
-
-    def _complete(self, station, job: Job, fin: float) -> None:
-        station._bank_inflight -= 1
-        owner = station._depth_owner
-        while owner is not None:
-            owner._depth -= 1
-            owner = owner._depth_owner
-        self._inflight -= 1
-        busy = fin - station._bank_live.pop(job)
-        if busy > 0.0:
-            station.record_busy(busy)
-        station.completed_count += 1
-        if fin > station._bank_clock:
-            station._bank_clock = fin
-        job.finish_at = None
-        met = station._metrics
-        if met is not None:
-            start = job.start_time if job.start_time is not None else fin
-            enq = job.enqueue_time if job.enqueue_time is not None else start
-            met.observe_completion(start - enq, fin - start, fin - enq)
-        job.finish(fin)
-
-    @staticmethod
-    def _credit(station, t: float) -> None:
-        """Credit the service the station's live jobs performed up to
-        ``t`` (a span that has not started yet owes nothing)."""
-        live = station._bank_live
-        total = 0.0
-        for job, acc in live.items():
-            fin = job.finish_at
-            upto = fin if fin < t else t
-            if upto > acc:
-                total += upto - acc
-                live[job] = upto
-        if total > 0.0:
-            station.record_busy(total)
-
-    # ------------------------------------------------------------------
-    # failure hooks (delegated from FCFSQueue when banked)
-    # ------------------------------------------------------------------
-    def fcfs_pause(self, station, now: Optional[float]) -> None:
-        """Freeze the station: credit elapsed service, convert scheduled
-        jobs back to remaining-work form, queue them for replay."""
-        p = self._now if now is None else max(now, self._now)
-        self._credit(station, p)
-        live = station._bank_live
-        for job in live:
-            # (fin - p) * rate exceeds ``remaining`` exactly when the
-            # scheduled start lies at/after the pause (no service yet);
-            # otherwise it is the un-served tail of the span
-            rem = (job.finish_at - p) * station.rate
-            if rem < job.remaining:
-                job.remaining = max(rem, 0.0)
-            elif job.start_time is not None and job.start_time >= p:
-                # a future scheduled start from this round, not a real one
-                job.start_time = None
-            job.finish_at = None  # invalidates the heap entry
-        station._bank_live = {}
-        station._bank_frozen = list(live)
-        self._reschedule()
-
-    def fcfs_crash(self, station) -> None:
-        """Crash semantics: partial progress of frozen jobs is lost."""
-        for job in station._bank_frozen:
-            job.remaining = job.demand
-            job.start_time = None
-
-    def fcfs_repair(self, station, now: float) -> None:
-        """Re-admit the frozen FIFO through the admission recurrence."""
-        r = max(now, self._now)
-        station._bank_free = [r] * len(station._bank_free)
-        station._bank_last_start = r
-        station._bank_clock = r
-        frozen = station._bank_frozen
-        station._bank_frozen = []
-        for job in frozen:
-            self._fcfs_admit(station, job, r)
-        if self._waker is not None:
-            self._waker(self)
+    def _rekey(self) -> None:
+        """Key every dirty member at its current next-event time."""
+        heap = self._heap
+        index = self._index
+        for station in self._dirty:
+            w = station.next_event_time()
+            if w != station._wake_at:
+                station._wake_at = w
+                if w < _INF:
+                    heapq.heappush(heap, (w, index[station], station))
+        self._dirty.clear()
 
     # ------------------------------------------------------------------
     # exact-event contract
     # ------------------------------------------------------------------
-    def _heap_min(self) -> float:
+    def next_event_time(self) -> float:
+        if self._dirty:
+            self._rekey()
         heap = self._heap
         while heap:
-            fin, _seq, _st, job = heap[0]
-            if job.finish_at == fin:
-                return fin
+            w, _i, station = heap[0]
+            if station._wake_at == w:
+                return w
             heapq.heappop(heap)
         return _INF
 
-    def _reschedule(self) -> None:
-        self._net_dirty = True
-        if self._sched is not None:
-            self._sched(self)
-
-    def next_event_time(self) -> float:
-        if not self._net_dirty:
-            return self._net_cache
-        nxt = self._heap_min()
-        ps = self._ps_heap_min()
-        if ps < nxt:
-            nxt = ps
-        self._net_cache = nxt
-        self._net_dirty = False
-        return nxt
-
     def advance_to(self, t: float) -> None:
+        """Advance the members due by ``t``, in membership order, until
+        none is due (a member's completion may submit to another)."""
         if self._advancing:
             return
-        self._net_dirty = True
         self._advancing = True
         try:
             limit = t + 1e-9
             heap = self._heap
+            dirty = self._dirty
             while True:
-                progressed = False
-                while heap:
-                    fin, _seq, station, job = heap[0]
-                    if job.finish_at != fin:
-                        heapq.heappop(heap)
-                        continue
-                    if fin > limit:
-                        break
-                    heapq.heappop(heap)
-                    if fin > self._now:
-                        self._now = fin
-                    self._complete(station, job, fin)
-                    progressed = True
-                if self._ps_heap_min() <= limit:
-                    self._advance_ps(t, limit)
-                    progressed = True
-                if not progressed:
+                if dirty:
+                    self._rekey()
+                if not heap or heap[0][0] > limit:
                     break
+                due = []
+                while heap and heap[0][0] <= limit:
+                    w, i, station = heapq.heappop(heap)
+                    if station._wake_at == w:
+                        # consumed: re-keyed after the advance even at an
+                        # unchanged time
+                        station._wake_at = -_INF
+                        due.append((i, station))
+                if len(due) > 1:
+                    due.sort()
+                for _i, station in due:
+                    station.advance_to(t)
+                    dirty[station] = None
         finally:
             self._advancing = False
 
-    def _advance_ps(self, t: float, limit: float) -> None:
-        """Advance the PS members due by ``limit``, in member order."""
-        heap = self._ps_heap
-        nxt = self._ps_next
-        due = set()
-        while heap and heap[0][0] <= limit:
-            w, i = heapq.heappop(heap)
-            if nxt[i] == w:
-                due.add(i)
-        for i in sorted(due):
-            st = self._ps[i]
-            st.advance_to(t)
-            # the scalar contract puts the next internal event beyond t;
-            # re-keying here covers an advance that fired no reschedule
-            w = st.next_event_time()
-            if w != nxt[i]:
-                nxt[i] = w
-                if w < _INF:
-                    heapq.heappush(heap, (w, i))
-
     def sync_to(self, t: float) -> None:
         self.advance_to(t)
-        for st in self._ps:
-            st.sync_to(t)
-        for st in self._fcfs:
-            if st._bank_live:
-                self._credit(st, t)
-            if t > st.local_time:
-                st.local_time = t
+        for station in self._members:
+            station.sync_to(t)
         if t > self.local_time:
             self.local_time = t
-        if t > self._now:
-            self._now = t
+        if self._dirty:
+            self._reschedule()
 
     # ------------------------------------------------------------------
     # Agent plumbing
@@ -416,12 +168,14 @@ class BatchedTier(Agent):
         )
 
     def queue_length(self) -> int:
-        return self._inflight + sum(ps.queue_length() for ps in self._ps)
+        return sum(station.queue_length() for station in self._members)
 
     def idle(self) -> bool:
-        if self._inflight:
+        # a pending event proves work; without one, a failed member may
+        # still hold jobs until its repair
+        if self.next_event_time() < _INF:
             return False
-        return all(ps.queue_length() == 0 for ps in self._ps)
+        return all(station.idle() for station in self._members)
 
 
 # ----------------------------------------------------------------------
@@ -482,18 +236,15 @@ def vectorize_agents(sim, agents, name: str = "tier") -> List[Agent]:
     drivers: List[Agent] = []
     for agent in agents:
         if isinstance(agent, CPU):
-            observe_agent(sim, agent, waker=bank._member_wake)
+            observe_agent(sim, agent, waker=bank._wake_bank)
             for q in agent.socket_queues:
-                bank.adopt_fcfs(q)
-        elif isinstance(agent, PSQueue):
+                bank.adopt(q)
+        elif isinstance(agent, (FCFSQueue, PSQueue)):
             observe_agent(sim, agent)
-            bank.adopt_ps(agent)
-        elif isinstance(agent, FCFSQueue):
-            observe_agent(sim, agent)
-            bank.adopt_fcfs(agent)
+            bank.adopt(agent)
         else:
             sim.add_agent(agent)
-    if bank._fcfs or bank._ps:
+    if bank._members:
         register_driver(sim, bank)
         drivers.append(bank)
     return drivers

@@ -181,8 +181,8 @@ def drive_station(
     (``kernel="vector"``), submits one job per ``(arrival, demand)``
     burst and runs to drain.  Returns ``(completions, busy_time)``
     where ``completions`` lists ``(arrival_index, completion_time)`` in
-    completion order — the observable the scalar≡vector lockstep
-    property compares (identical ordering, busy time within 1e-9).
+    completion order — the observable the lockstep property compares,
+    bit for bit, between the kernels and the reference station.
 
     This is the runner half of the property harness: it has no
     hypothesis dependency, so targeted regressions can replay a failing

@@ -1,12 +1,10 @@
-"""Kernel-differential verification: the 13-case oracle matrix and the
-event≡adaptive contract must hold under both queueing substrates.
+"""Kernel-differential verification: the 13-case oracle matrix, the
+event≡adaptive contract and cross-kernel bit parity.
 
-Cross-kernel bit-parity is deliberately *not* asserted: the batched
-substrate schedules in closed form, so only the direction-aware oracle
-tolerances and each kernel's own stepping-mode parity are contractual.
-One cross-kernel check is exact by construction — the oracle estimates
-themselves — because both kernels perform the same float operations in
-the same order on these stations.
+Both queueing kernels run the same station code -- the vector kernel
+only puts the stations behind one engine agent per tier -- so the two
+must agree bit for bit: records, and every telemetry field of every
+agent, busy-time floats and ``queue_hwm`` included.
 
 On failure every assertion message carries the seed and a bounded diff
 of the first mismatching records/telemetry entries, so a red run is
@@ -118,20 +116,47 @@ def test_event_adaptive_parity(kernel, spec):
         f"{spec} kernel={kernel} event vs adaptive", seed, a, b)
 
 
-@pytest.mark.parametrize("spec", ["consolidation", "multimaster"])
-def test_scalar_vector_agreement(spec):
-    """Cross-kernel: records and full telemetry agree exactly.
+def _ch5_result(kernel, until):
+    """The unobserved chapter 5 Experiment-1 slice on ``kernel``."""
+    from repro.api import Scenario
+    from repro.validation.experiments import EXPERIMENTS, run_experiment
 
-    Stronger than the contract requires (tolerance-level agreement);
-    kept exact while it holds because it pins the closed-form admission
-    to the scalar recurrence.  Both kernels share one storage schedule
-    (:mod:`repro.hardware.storage`), so ``queue_hwm`` is compared too.
-    """
-    seed = 3
-    rs = simulate(spec, until=40.0, seed=seed,
-                  engine=EngineOptions(kernel="scalar"))
-    rv = simulate(spec, until=40.0, seed=seed,
-                  engine=EngineOptions(kernel="vector"))
-    a = _signature(rs)
-    b = _signature(rv)
+    sessions = []
+    prepare = Scenario.prepare
+
+    def on_kernel(self, **kwargs):
+        session = prepare(self, **dict(kwargs, kernel=kernel))
+        sessions.append(session)
+        return session
+
+    Scenario.prepare = on_kernel
+    try:
+        run_experiment(EXPERIMENTS[0], until=until, seed=42)
+    finally:
+        Scenario.prepare = prepare
+    return sessions[0].result()
+
+
+def _run_on(spec, kernel, seed):
+    if spec == "ch5-unobserved":
+        # 60 s: the former bank credited DNA.Tapp.s0.cpu's busy time in
+        # another order and differed here in the last digits
+        return _ch5_result(kernel, until=60.0)
+    if spec == "fleet-32":
+        from repro.studies.fleet import fleet_scenario
+
+        return simulate(fleet_scenario(32, seed=seed), until=20.0,
+                        engine=EngineOptions(kernel=kernel))
+    return simulate(spec, until=40.0, seed=seed,
+                    engine=EngineOptions(kernel=kernel))
+
+
+@pytest.mark.parametrize("spec", ["consolidation", "multimaster",
+                                  "ch5-unobserved", "fleet-32"])
+def test_scalar_vector_agreement(spec):
+    """Cross-kernel: records and full telemetry agree exactly, every
+    busy-time bit and ``queue_hwm`` included."""
+    seed = 3 if spec in ("consolidation", "multimaster") else 42
+    a = _signature(_run_on(spec, "scalar", seed))
+    b = _signature(_run_on(spec, "vector", seed))
     assert a == b, _diff_message(f"{spec} scalar vs vector", seed, a, b)

@@ -10,8 +10,9 @@ The references below keep the general path for every job:
 :class:`GeneralPS` runs each event through ``_next_internal`` and
 ``_process_at``, :class:`GeneralCPU` schedules its one socket through
 the composite's cache and heap and picks it by the shortest-queue rule,
-and :class:`GeneralFCFS` allocates its waiting line up front and answers
-``idle()`` from ``queue_length()``.  Every random schedule must give
+and the FCFS station is the event-by-event reference station
+(:class:`~repro.verification.fcfs.ReferenceFCFS`), which the closed-form
+:class:`FCFSQueue` must match.  Every random schedule must give
 bit-equal starts, finishes, busy-time floats, counters and
 ``queue_hwm`` on both, and the same engine boundaries and agent wakes.
 """
@@ -30,6 +31,7 @@ from repro.hardware.composite import CompositeAgent
 from repro.hardware.cpu import CPU
 from repro.queueing import FCFSQueue, PSQueue
 from repro.queueing.soa import vectorize_agents
+from repro.verification.fcfs import ReferenceFCFS
 
 _INF = float("inf")
 MODES = ("event", "adaptive", "fixed")
@@ -97,19 +99,8 @@ class GeneralCPU(CPU):
     idle = Agent.idle
 
 
-class GeneralFCFS(FCFSQueue):
-    """An FCFS station with its waiting line allocated up front and
-    ``idle()`` answered from ``queue_length()``."""
-
-    def __init__(self, name: str, rate: float, servers: int = 1) -> None:
-        super().__init__(name, rate, servers)
-        self.waiting = deque()
-
-    idle = Agent.idle
-
-
 FAST = {"ps": PSQueue, "cpu": CPU, "fcfs": FCFSQueue}
-GENERAL = {"ps": GeneralPS, "cpu": GeneralCPU, "fcfs": GeneralFCFS}
+GENERAL = {"ps": GeneralPS, "cpu": GeneralCPU, "fcfs": ReferenceFCFS}
 
 
 def _random_case(seed: int) -> dict:
@@ -329,22 +320,32 @@ def test_wake_orders_the_active_set_and_brings_the_clock_current():
 
 def test_storage_stages_never_allocate_a_waiting_line():
     """The closed-form storage schedule never enqueues on its stages, so
-    they keep the shared empty line; a station a job passed through
-    holds a line of its own."""
+    they keep the shared empty line, service set and server clocks and
+    allocate nothing per server; a station a job passed through holds
+    its own.  An FCFS station keeps at most 29 instance attributes (a
+    NIC or a stage): one more and CPython stops sharing the keys of the
+    stations' instance dicts, which costs a 256-region fleet ~4 MB."""
     from repro.hardware.raid import RAID
 
     sim = Simulator(mode="event")
     raid = RAID("r", n_disks=4, array_controller_bps=4e8,
                 controller_bps=2e8, drive_bps=1e8)
     nic = FCFSQueue("nic", rate=1e9)
-    sim.add_agents([raid, nic])
+    socket = FCFSQueue("socket", rate=1e9, servers=4)
+    sim.add_agents([raid, nic, socket])
     for k in range(20):
         sim.schedule(0.01 * k, lambda now: raid.submit(Job(4096.0), now))
     sim.schedule(0.0, lambda now: nic.submit(Job(1e3), now))
+    sim.schedule(0.0, lambda now: socket.submit(Job(1e3), now))
     sim.run(5.0)
     assert raid.completed_count == 20
-    assert all(type(stage.waiting) is tuple for stage in raid._cols)
+    for stage in raid._cols:
+        assert stage.waiting == stage.in_service == stage._free == ()
     assert type(nic.waiting) is deque and not nic.waiting
+    # one server is free from the last job's finish: no per-server list
+    assert nic.in_service == [] and nic._free == ()
+    assert len(socket._free) == 4
+    assert max(len(vars(a)) for a in [nic, socket, *raid._cols]) <= 29
 
 
 @pytest.mark.parametrize("workload, pins", [

@@ -1,17 +1,19 @@
 """Scalar vs batched kernels driven in lockstep (hypothesis).
 
 Random arrival/service sequences drive one scalar and one banked copy
-of the same FCFS/PS station; the batched closed-form admission must
-reproduce the scalar outcome observable-for-observable: identical
-completion ordering and busy time within 1e-9.
+of the same FCFS/PS station.  Both kernels run the same station code,
+so each must reproduce the reference observable-for-observable and bit
+for bit: the same completions in the same order at the same times, and
+the same busy time.  An FCFS station's reference is the event-by-event
+station of :mod:`repro.verification.fcfs` on the scalar kernel; a PS
+link is its own reference.
 """
-
-import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.queueing.fcfs import FCFSQueue
+from repro.verification.fcfs import ReferenceFCFS
 from repro.verification.properties import (
     drive_station,
     kernel_lockstep,
@@ -32,39 +34,46 @@ def _fcfs2():
 GUARD_ORDER = [(0.0, 1.1754943508222875e-38), (1.0464104858614766e-223, 0.0)]
 
 
-def _assert_lockstep(scalar, vector):
-    (sc, sbusy), (vc, vbusy) = scalar, vector
-    assert [i for i, _ in sc] == [i for i, _ in vc], (
-        "completion ordering diverged between kernels"
-    )
-    for (_, ts), (_, tv) in zip(sc, vc):
-        assert math.isclose(ts, tv, rel_tol=1e-9, abs_tol=1e-9)
-    assert math.isclose(sbusy, vbusy, rel_tol=1e-9, abs_tol=1e-9)
+def _reference(factory):
+    """The reference station's factory for ``factory``'s station."""
+    station = factory()
+    if isinstance(station, FCFSQueue):
+        return lambda: ReferenceFCFS(station.name, station.rate,
+                                     station.servers)
+    return factory
+
+
+def _assert_lockstep(factory, seq, mode):
+    reference = drive_station(_reference(factory), seq, mode=mode)
+    scalar, vector = kernel_lockstep(factory, seq, mode=mode)
+    assert scalar == reference, "scalar kernel diverged from the reference"
+    assert vector == reference, "vector kernel diverged from the reference"
 
 
 @given(factory=station_factories(), seq=bursts)
 @example(factory=_fcfs2, seq=GUARD_ORDER)
 @settings(max_examples=60, deadline=None)
 def test_station_lockstep_event_mode(factory, seq):
-    _assert_lockstep(*kernel_lockstep(factory, seq, mode="event"))
+    _assert_lockstep(factory, seq, "event")
 
 
 @given(factory=station_factories(), seq=bursts)
 @example(factory=_fcfs2, seq=GUARD_ORDER)
 @settings(max_examples=25, deadline=None)
 def test_station_lockstep_adaptive_mode(factory, seq):
-    _assert_lockstep(*kernel_lockstep(factory, seq, mode="adaptive"))
+    _assert_lockstep(factory, seq, "adaptive")
 
 
 @given(seq=bursts, servers=st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
 def test_fcfs_bank_conserves_work(seq, servers):
-    """Banked FCFS work conservation: busy == total demand / rate."""
+    """Banked FCFS stations serve every job and accrue exactly the busy
+    time of the reference station, whose work conservation (busy ==
+    total demand / rate) ``tests/queueing/test_properties.py`` checks."""
     factory = lambda: FCFSQueue("prop.fcfs", rate=2.0, servers=servers)
     comps, busy = drive_station(factory, seq, kernel="vector")
     assert len(comps) == len(seq)
-    assert math.isclose(busy, sum(d for _, d in seq) / 2.0,
-                        rel_tol=1e-9, abs_tol=1e-9)
+    assert (comps, busy) == drive_station(_reference(factory), seq)
 
 
 @pytest.mark.parametrize("mode", ["event", "adaptive"])
@@ -72,4 +81,4 @@ def test_lockstep_known_sequence(mode):
     """A fixed regression sequence stays comparable without hypothesis."""
     seq = [(0.0, 1.0), (0.1, 0.0), (0.1, 2.5), (4.0, 0.3), (4.0, 0.3)]
     factory = lambda: FCFSQueue("prop.fcfs", rate=1.0, servers=2)
-    _assert_lockstep(*kernel_lockstep(factory, seq, mode=mode))
+    _assert_lockstep(factory, seq, mode)
